@@ -27,7 +27,11 @@
 ///     depth, which encodes precisely the set of capacities that
 ///     gained a free slot);
 ///  3. a thread pool (urcm/support/ThreadPool.h) runs independent
-///     experiments concurrently.
+///     experiments concurrently, and spreads each experiment's points
+///     across it: the points split into groups, each a sequential
+///     SweepPointStream on one pool thread reading every trace chunk the
+///     experiment's single producer publishes (point-parallel replay,
+///     DESIGN.md §13).
 ///
 /// Replay counters are bit-identical to the live DataCache's (asserted
 /// by tests/sweepengine_test.cpp), so exhibits that moved from
@@ -169,7 +173,10 @@ private:
 /// from its trace. Experiments are keyed by caller-chosen strings
 /// (callers key on config *contents*); scheduling the same key twice is
 /// idempotent. run() executes pending experiments across the thread
-/// pool and frees each trace once its points are served.
+/// pool, replays each experiment's points in parallel groups on the same
+/// pool, and frees each trace once its points are served. Counters and
+/// attribution tables are bit-identical to replaySweepPoints for every
+/// pool width: each point is replayed exactly as it is sequentially.
 class SweepEngine {
 public:
   /// Runs the functional simulator for this experiment's program under
@@ -205,17 +212,6 @@ public:
   /// base are empty.
   void run();
 
-  /// Intra-experiment sharding for trace replay (urcm/sim/
-  /// ShardedReplay.h): 1 — the default — replays each experiment
-  /// sequentially (the differential oracle the sharded path is tested
-  /// against); 0 means "auto" (the pool width, so a lone experiment
-  /// still saturates the machine); N > 1 shards each experiment's
-  /// replay N ways. Counters are bit-identical in every mode. Set
-  /// before run(); shard units fan out through nested parallelFor, so
-  /// shards and experiments share the same pool.
-  void setShards(uint32_t Request) { Shards = Request; }
-  uint32_t shards() const { return Shards; }
-
   /// Enables the persistent trace store (urcm/sim/TraceStore.h) under
   /// \p Dir — empty disables (the default). With a store configured,
   /// every experiment scheduled with a non-zero content hash first
@@ -247,7 +243,7 @@ public:
 
   /// The per-reference attribution of point \p Index, which must have
   /// been scheduled with SweepPoint::AttributionRefs non-zero.
-  /// Bit-identical across shard counts and store modes (the attribution
+  /// Bit-identical across pool widths and store modes (the attribution
   /// counterpart of the CacheStats merge invariant). Valid after run().
   const RefAttribution &attribution(const std::string &Key,
                                     size_t Index) const;
@@ -273,16 +269,18 @@ private:
   /// \p ReplayedAttrib receives attribution tables parallel to \p Rest
   /// (empty rows for points that did not request attribution).
   bool serveFromStore(Experiment &E, const std::vector<SweepPoint> &Rest,
-                      uint32_t EffShards, uint64_t &TraceEvents,
+                      uint64_t &TraceEvents,
                       std::vector<CacheStats> &Replayed,
                       std::vector<RefAttribution> &ReplayedAttrib);
+
+  /// The trace reserve hint of \p HintGroup (0 before its first run).
+  uint64_t sizeHint(const std::string &HintGroup) const;
 
   /// Forwards diagnostics collected during store I/O to the configured
   /// sink under the engine lock (experiments run in parallel).
   void forwardStoreDiags(const DiagnosticEngine &Local);
 
   ThreadPool *Pool;
-  uint32_t Shards = 1;
   std::string StoreDir;
   DiagnosticEngine *StoreDiags = nullptr;
   mutable std::mutex M;

@@ -81,6 +81,7 @@
 
 #include "urcm/codegen/MachineIR.h"
 #include "urcm/sim/Simulator.h"
+#include "urcm/sim/TraceStream.h"
 #include "urcm/support/Diagnostics.h"
 
 #include <cstdint>
@@ -257,6 +258,12 @@ bool streamStoredTrace(
     TraceStoreReader &Reader,
     const std::function<void(const TraceEvent *, size_t)> &Consume,
     size_t QueueDepth = 4);
+
+/// streamStoredTrace with a buffer-taking consumer (see ChunkConsumer in
+/// urcm/sim/TraceStream.h).
+bool streamStoredTrace(TraceStoreReader &Reader,
+                       const ChunkConsumer &Consume,
+                       size_t QueueDepth = 4);
 
 namespace detail {
 

@@ -58,9 +58,10 @@ public:
   void producerDone() { Full.close(); }
 
   /// Consumer side: pops the next chunk into \p Chunk (its previous
-  /// contents are recycled to the producer). False at end of stream.
+  /// buffer is recycled to the producer — including a spent buffer a
+  /// ChunkConsumer swapped in). False at end of stream.
   bool next(std::vector<TraceEvent> &Chunk) {
-    if (!Chunk.empty()) {
+    if (Chunk.capacity() != 0) {
       Chunk.clear();
       Free.tryPush(std::move(Chunk));
       Chunk = std::vector<TraceEvent>();
@@ -89,6 +90,13 @@ private:
   uint64_t Chunks = 0;
 };
 
+/// A consumer that takes each chunk as its buffer rather than as a view:
+/// it may swap the vector's contents for a spent buffer of its own (the
+/// swapped-in buffer is what gets recycled to the producer), so a
+/// consumer that must keep chunks past the call does so without a copy
+/// or an allocation.
+using ChunkConsumer = std::function<void(std::vector<TraceEvent> &)>;
+
 /// Runs \p Produce — a closure that must pass \p Config (sink included)
 /// to Simulator::run — on a dedicated thread, and delivers every trace
 /// chunk, in order, to \p Consume on the calling thread while
@@ -106,6 +114,15 @@ streamTrace(SimConfig Config,
             const std::function<SimResult(const SimConfig &)> &Produce,
             const std::function<void(const TraceEvent *, size_t)> &Consume,
             size_t QueueDepth = 4, uint64_t *EventCount = nullptr,
+            const std::function<void(const TraceEvent *, size_t)>
+                &ProducerTap = {});
+
+/// streamTrace with a buffer-taking consumer (see ChunkConsumer).
+SimResult
+streamTrace(SimConfig Config,
+            const std::function<SimResult(const SimConfig &)> &Produce,
+            const ChunkConsumer &Consume, size_t QueueDepth = 4,
+            uint64_t *EventCount = nullptr,
             const std::function<void(const TraceEvent *, size_t)>
                 &ProducerTap = {});
 

@@ -18,8 +18,9 @@
 #      docs/profile_schema.json and the metrics JSONL stream
 #   7. opt-in (--policy): replacement-policy differential — the unified
 #      cache model's grid (PLRU/SRRIP/bypass-predictor included) must
-#      be bit-identical across sequential, sharded and warm-store
-#      replay, and a policy change must warm-hit the trace store
+#      be bit-identical however point-parallel replay groups the
+#      points (a two-size sweep vs two one-size sweeps) and under
+#      warm-store replay, and a policy change must warm-hit the store
 #   8. opt-in (--fuse): superinstruction-fusion transparency — the full
 #      urcm_report must be byte-identical fused vs --no-fuse, a
 #      fused-recorded trace store must serve an unfused warm run
@@ -89,17 +90,18 @@ if [ "$RUN_SAN" = 1 ]; then
 
   echo "== sanitizers: tsan (parallel sim suites) =="
   # TSan over the suites that exercise the thread pool, the SPSC trace
-  # stream, and the sharded replay engine; the full suite under TSan is
+  # stream, and point-parallel replay; the full suite under TSan is
   # disproportionately slow and the remaining suites are single-threaded.
   cmake --preset tsan >/dev/null
   cmake --build --preset tsan -j"$(nproc)" --target \
     support_test tracesim_test cachemodel_test sweepengine_test \
-    shardedreplay_test tracestore_test fusion_test
+    shardedreplay_test tracestore_test refattribution_test fusion_test
   # Only these binaries exist in the tsan tree, so invoke them
   # directly rather than through ctest's discovery (which would trip
   # over the unbuilt suites).
   for t in support_test tracesim_test cachemodel_test sweepengine_test \
-           shardedreplay_test tracestore_test fusion_test; do
+           shardedreplay_test tracestore_test refattribution_test \
+           fusion_test; do
     TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
       ./build-tsan/tests/"$t" || { echo "tsan: $t failed" >&2; exit 1; }
   done
@@ -142,18 +144,24 @@ if [ "$RUN_PROFILE" = 1 ]; then
 fi
 
 if [ "$RUN_POLICY" = 1 ]; then
-  echo "== policy differential: sharded + warm-store bit-identity =="
+  echo "== policy differential: split-sweep + warm-store bit-identity =="
   POLICY_DIR=$(mktemp -d /tmp/urcm_policy.XXXXXX)
   SWEEP="--workload=Sieve --sweep=16,64"
-  # Every policy's sweep must be deterministic and bit-identical under
-  # set sharding (shard-ineligible policies route through the
-  # sequential leftover unit, so the invariant holds for all of them).
+  # Every policy's rows must not depend on how point-parallel replay
+  # groups the points: the two-size sweep must print exactly the rows
+  # of one sweep per size.
   for p in lru fifo random plru srrip min bypass; do
     ./build/tools/urcmc $SWEEP --policy="$p" > "$POLICY_DIR/$p.out"
-    ./build/tools/urcmc $SWEEP --policy="$p" --shards=7 \
-      > "$POLICY_DIR/$p.sharded.out"
-    cmp "$POLICY_DIR/$p.out" "$POLICY_DIR/$p.sharded.out" || {
-      echo "policy $p: sharded sweep diverges from sequential" >&2
+    for s in 16 64; do
+      ./build/tools/urcmc --workload=Sieve --sweep="$s" --policy="$p" \
+        > "$POLICY_DIR/$p.$s.out"
+    done
+    tail -n +2 "$POLICY_DIR/$p.out" > "$POLICY_DIR/$p.joint.rows"
+    tail -q -n +2 "$POLICY_DIR/$p.16.out" "$POLICY_DIR/$p.64.out" \
+      > "$POLICY_DIR/$p.split.rows"
+    [ -s "$POLICY_DIR/$p.joint.rows" ] &&
+      cmp "$POLICY_DIR/$p.joint.rows" "$POLICY_DIR/$p.split.rows" || {
+      echo "policy $p: split sweep diverges from the joint sweep" >&2
       exit 1; }
   done
   # One stored trace serves the whole policy grid: record under LRU,

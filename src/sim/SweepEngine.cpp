@@ -59,15 +59,19 @@
 
 #include "ReplayKernels.h"
 
-#include "urcm/sim/ShardedReplay.h"
 #include "urcm/sim/TraceStore.h"
 #include "urcm/sim/TraceStream.h"
 #include "urcm/support/Diagnostics.h"
 #include "urcm/support/Telemetry.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
+#include <condition_variable>
+#include <exception>
 #include <limits>
+#include <map>
+#include <tuple>
 #include <unordered_map>
 
 using namespace urcm;
@@ -86,6 +90,16 @@ URCM_STAT(NumSweepBytesFreed, "sweep.trace-bytes-freed",
           "Bytes of materialized trace released after replay");
 URCM_STAT(SweepReplayNs, "sweep.replay-ns",
           "Nanoseconds spent replaying trace chunks (consumer side)");
+URCM_STAT(NumReplayWorkers, "sim.replay.workers",
+          "Point-parallel replay groups run, summed over replays");
+URCM_HISTOGRAM(ReplayPointsPerWorker, "sim.replay.points-per-worker",
+               "Sweep points per point-parallel replay group");
+URCM_HISTOGRAM(ReplayImbalance, "sim.replay.imbalance",
+               "Busiest replay group's share of a replay's busy time, "
+               "times the group count, in percent (100 = balanced)");
+URCM_STAT(NumInlineChunks, "sim.replay.inline-chunks",
+          "Trace chunks the publishing thread replayed itself for a "
+          "group no pool thread had claimed (saturated pool)");
 URCM_STAT(NumPolicyLRUPoints, "sim.policy.lru",
           "Sweep points answered under the LRU policy");
 URCM_STAT(NumPolicyFIFOPoints, "sim.policy.fifo",
@@ -315,43 +329,341 @@ urcm::replaySweepPoints(const std::vector<TraceEvent> &Trace,
   return Stream.finish();
 }
 
+//===----------------------------------------------------------------------===//
+// Point-parallel replay: one experiment's points split into groups, each
+// group a plain sequential SweepPointStream on a pool thread.
+//===----------------------------------------------------------------------===//
+
 namespace {
 
-/// Extracts the attribution tables of every requesting point from a
-/// finished stream into \p Attrib (parallel to \p Points; default rows
-/// elsewhere). Shared by the streaming, store-serve and materialized
-/// paths — all three stream types expose the same takeAttribution.
-template <typename StreamT>
-void collectAttribution(StreamT &Stream,
-                        const std::vector<SweepPoint> &Points,
-                        std::vector<RefAttribution> &Attrib) {
-  Attrib.assign(Points.size(), RefAttribution());
-  for (size_t R = 0; R != Points.size(); ++R)
-    if (Points[R].wantsAttribution())
-      Attrib[R] = Stream.takeAttribution(R);
+/// Splits \p Points into at most \p MaxGroups replay groups (ascending
+/// indexes into \p Points). Points that share one walk form an
+/// indivisible unit: the stack-distance-eligible points of one hint view
+/// (one Mattson walk answers all their sizes) and the MIN points of one
+/// (line size, hint view) (one next-use precomputation). Every other
+/// point is a unit of its own. Units go largest first to the group with
+/// the fewest points — per-point replay costs are within about a
+/// quarter of each other across policies, so point count is the load.
+/// The grouping depends only on the points and the bound, never on
+/// timing.
+std::vector<std::vector<size_t>>
+groupPoints(const std::vector<SweepPoint> &Points, size_t MaxGroups) {
+  enum SharedWalk { StackWalk, MINWalk };
+  std::vector<std::vector<size_t>> Units;
+  std::map<std::tuple<SharedWalk, uint32_t, bool>, size_t> UnitOf;
+  for (size_t I = 0; I != Points.size(); ++I) {
+    const SweepPoint &P = Points[I];
+    std::tuple<SharedWalk, uint32_t, bool> Key;
+    if (stackDistanceEligible(P) && !P.wantsAttribution())
+      Key = {StackWalk, 0, P.IgnoreHints};
+    else if (P.Policy == CachePolicy::MIN)
+      Key = {MINWalk, P.Config.LineWords, P.IgnoreHints};
+    else {
+      Units.push_back({I});
+      continue;
+    }
+    auto [It, Inserted] = UnitOf.try_emplace(Key, Units.size());
+    if (Inserted)
+      Units.emplace_back();
+    Units[It->second].push_back(I);
+  }
+  std::stable_sort(Units.begin(), Units.end(),
+                   [](const std::vector<size_t> &A,
+                      const std::vector<size_t> &B) {
+                     return A.size() > B.size();
+                   });
+  std::vector<std::vector<size_t>> Groups(
+      std::max<size_t>(1, std::min(MaxGroups, Units.size())));
+  for (const std::vector<size_t> &Unit : Units) {
+    std::vector<size_t> &Lightest = *std::min_element(
+        Groups.begin(), Groups.end(),
+        [](const std::vector<size_t> &A, const std::vector<size_t> &B) {
+          return A.size() < B.size();
+        });
+    Lightest.insert(Lightest.end(), Unit.begin(), Unit.end());
+  }
+  for (std::vector<size_t> &G : Groups)
+    std::sort(G.begin(), G.end());
+  return Groups;
 }
 
-/// Materialized-trace replay (the Belady MIN path): same batch shape as
-/// replaySweepPoints / replaySweepPointsSharded, plus attribution
-/// extraction for the points that request it.
+/// One replay group: a sequential SweepPointStream over a subset of an
+/// experiment's points. Whichever thread feeds the stream holds
+/// Replaying; a replay error is parked in Error and rethrown by gather()
+/// once every thread is done with the group.
+struct ReplayGroup {
+  std::vector<size_t> Members; ///< Indexes into the experiment's points.
+  std::unique_ptr<SweepPointStream> Stream;
+  std::vector<CacheStats> Stats; ///< finish() output, parallel to Members.
+  uint64_t BusyNs = 0;           ///< Replay time (metered runs only).
+  std::exception_ptr Error;
+
+  // Streamed mode only (see StreamedReplay).
+  std::mutex Replaying;
+  /// The next chunk this group replays; written under Replaying.
+  std::atomic<uint64_t> Next{0};
+  /// Set when a thread starts the group's task: from then on the
+  /// publisher leaves the group's chunks to that thread and may wait on
+  /// it.
+  std::atomic<bool> Claimed{false};
+
+  void feed(const TraceEvent *Events, size_t Count) {
+    replay([&] { Stream->feed(Events, Count); });
+  }
+  void finish() {
+    replay([&] { Stats = Stream->finish(); });
+  }
+
+private:
+  /// Runs one step of the stream, metered; after a failure, later steps
+  /// are skipped but the caller keeps consuming chunks so the window
+  /// still drains.
+  template <typename Step> void replay(Step &&Work) {
+    if (Error)
+      return;
+    const uint64_t T0 = telemetry::enabled() ? telemetry::nowNanos() : 0;
+    try {
+      Work();
+    } catch (...) {
+      Error = std::current_exception();
+    }
+    if (T0)
+      BusyNs += telemetry::nowNanos() - T0;
+  }
+};
+
+using ReplayGroups = std::vector<std::unique_ptr<ReplayGroup>>;
+
+/// Chunks queued between a streamed trace's producer and the publisher.
+/// With the publisher's window (StreamedReplay::WindowChunks), the
+/// chunk being produced and the one being published, an experiment holds
+/// at most six chunks in flight — as many as the single sequential
+/// consumer did behind a four-deep queue.
+constexpr size_t ProducerQueueDepth = 2;
+
+/// One group per pool worker at most. \p FullTrace is the materialized
+/// trace (MIN) or null; \p SizeHint pre-sizes the stack-distance walks.
+ReplayGroups makeGroups(const std::vector<SweepPoint> &Points,
+                        const ThreadPool &Pool,
+                        const std::vector<TraceEvent> *FullTrace,
+                        uint64_t SizeHint) {
+  ReplayGroups Groups;
+  for (std::vector<size_t> &Members : groupPoints(Points, Pool.size())) {
+    auto G = std::make_unique<ReplayGroup>();
+    std::vector<SweepPoint> Subset;
+    Subset.reserve(Members.size());
+    for (size_t I : Members)
+      Subset.push_back(Points[I]);
+    G->Members = std::move(Members);
+    G->Stream = std::make_unique<SweepPointStream>(std::move(Subset),
+                                                   FullTrace);
+    if (SizeHint)
+      G->Stream->reserve(SizeHint);
+    Groups.push_back(std::move(G));
+  }
+  return Groups;
+}
+
+/// Scatters every group's counters and attribution tables back into the
+/// order of \p Points and records the point-parallel telemetry. Rethrows
+/// the first replay error.
+std::vector<CacheStats> gather(ReplayGroups &Groups,
+                               const std::vector<SweepPoint> &Points,
+                               std::vector<RefAttribution> &Attrib) {
+  for (const std::unique_ptr<ReplayGroup> &G : Groups)
+    if (G->Error)
+      std::rethrow_exception(G->Error);
+  std::vector<CacheStats> Out(Points.size());
+  Attrib.assign(Points.size(), RefAttribution());
+  uint64_t TotalNs = 0, MaxNs = 0;
+  for (const std::unique_ptr<ReplayGroup> &G : Groups) {
+    for (size_t J = 0; J != G->Members.size(); ++J) {
+      const size_t I = G->Members[J];
+      Out[I] = G->Stats[J];
+      if (Points[I].wantsAttribution())
+        Attrib[I] = G->Stream->takeAttribution(J);
+    }
+    NumReplayWorkers.add();
+    ReplayPointsPerWorker.record(G->Members.size());
+    TotalNs += G->BusyNs;
+    MaxNs = std::max(MaxNs, G->BusyNs);
+  }
+  SweepReplayNs.add(TotalNs);
+  if (TotalNs)
+    ReplayImbalance.record(MaxNs * Groups.size() * 100 / TotalNs);
+  return Out;
+}
+
+/// Materialized-trace replay (the Belady MIN path): the groups fan out
+/// with a nested parallelFor, each walking the whole trace.
 std::vector<CacheStats>
 replayMaterialized(const std::vector<TraceEvent> &Trace,
-                   const std::vector<SweepPoint> &Points,
-                   uint32_t EffShards, ThreadPool *Pool,
+                   const std::vector<SweepPoint> &Points, ThreadPool &Pool,
                    std::vector<RefAttribution> &Attrib) {
-  auto RunStream = [&](auto &Stream) {
-    Stream.reserve(Trace.size());
-    Stream.feed(Trace.data(), Trace.size());
-    std::vector<CacheStats> Out = Stream.finish();
-    collectAttribution(Stream, Points, Attrib);
-    return Out;
-  };
-  if (EffShards > 1) {
-    ShardedSweepStream Stream(Points, EffShards, Pool, &Trace);
-    return RunStream(Stream);
+  ReplayGroups Groups = makeGroups(Points, Pool, &Trace, Trace.size());
+  Pool.parallelFor(Groups.size(), [&](size_t I) {
+    Groups[I]->feed(Trace.data(), Trace.size());
+    Groups[I]->finish();
+  });
+  return gather(Groups, Points, Attrib);
+}
+
+/// Point-parallel replay of a streamed trace. The publisher — the thread
+/// running the chunk producer's consumer side — hands each chunk buffer,
+/// without a copy, to a window of WindowChunks slots; a slot is read-only
+/// while any group has yet to replay it, and its buffer goes back to the
+/// producer once it is reused, so the steady state allocates nothing.
+/// Each group is one pool task replaying every chunk in order, so each
+/// point sees exactly the event sequence of a sequential replay and its
+/// counters are bit-identical by construction.
+///
+/// Deadlock freedom: the publisher and the groups are the indexes of one
+/// parallelFor, publisher first. parallelFor hands indexes out in order,
+/// so a group only ever waits on a running publisher. The publisher
+/// waits only on claimed groups, which are running; the pending chunks
+/// of a group no thread has claimed (every worker busy elsewhere) are
+/// replayed by the publisher itself, so a saturated pool degrades to
+/// sequential replay on the publishing thread.
+class StreamedReplay {
+public:
+  explicit StreamedReplay(ReplayGroups &Groups) : Groups(Groups) {}
+
+  /// Runs \p Produce — which must hand every chunk, in order, to the
+  /// consumer it is given and return whether the stream completed —
+  /// alongside the groups. Returns Produce's verdict.
+  bool run(ThreadPool &Pool,
+           const std::function<bool(const ChunkConsumer &)> &Produce) {
+    bool Ok = false;
+    Pool.parallelFor(Groups.size() + 1, [&](size_t I) {
+      if (I != 0) {
+        runGroup(*Groups[I - 1]);
+        return;
+      }
+      // Close even if the producer throws, or the groups wait forever.
+      struct Closer {
+        StreamedReplay &R;
+        ~Closer() { R.close(); }
+      } Close{*this};
+      Ok = Produce([this](std::vector<TraceEvent> &Chunk) { publish(Chunk); });
+    });
+    NumInlineChunks.add(InlineChunks);
+    return Ok;
   }
-  SweepPointStream Stream(Points, &Trace);
-  return RunStream(Stream);
+
+private:
+  static constexpr size_t WindowChunks = 2;
+
+  struct Slot {
+    std::vector<TraceEvent> Events;
+    size_t Readers = 0; ///< Groups yet to replay it; guarded by M.
+  };
+
+  void publish(std::vector<TraceEvent> &Chunk) {
+    Slot &S = Window[Sequence % WindowChunks];
+    if (Sequence >= WindowChunks)
+      reclaim(S, Sequence - WindowChunks);
+    // The slot's spent buffer goes back upstream for the next chunk.
+    S.Events.swap(Chunk);
+    Chunk.clear();
+    {
+      std::lock_guard<std::mutex> Lock(M);
+      S.Readers = Groups.size();
+      Published = ++Sequence;
+    }
+    PublishedCV.notify_all();
+  }
+
+  /// Waits until slot \p S, holding chunk \p OldSeq, has been replayed
+  /// by every group, first replaying it here for each unclaimed group.
+  void reclaim(Slot &S, uint64_t OldSeq) {
+    for (std::unique_ptr<ReplayGroup> &G : Groups) {
+      if (G->Next.load() > OldSeq || G->Claimed.load())
+        continue;
+      std::lock_guard<std::mutex> Run(G->Replaying);
+      InlineChunks += drain(*G);
+    }
+    std::unique_lock<std::mutex> Lock(M);
+    FreedCV.wait(Lock, [&] { return S.Readers == 0; });
+  }
+
+  void close() {
+    {
+      std::lock_guard<std::mutex> Lock(M);
+      Closed = true;
+    }
+    PublishedCV.notify_all();
+  }
+
+  void runGroup(ReplayGroup &G) {
+    G.Claimed.store(true);
+    for (;;) {
+      {
+        std::unique_lock<std::mutex> Lock(M);
+        PublishedCV.wait(Lock,
+                         [&] { return Closed || G.Next.load() < Published; });
+        if (G.Next.load() >= Published)
+          break; // Closed, and every chunk replayed.
+      }
+      std::lock_guard<std::mutex> Run(G.Replaying);
+      drain(G);
+    }
+    std::lock_guard<std::mutex> Run(G.Replaying);
+    G.finish();
+  }
+
+  /// Replays every published chunk \p G has not seen; the caller holds
+  /// G.Replaying. Returns the number of chunks replayed.
+  size_t drain(ReplayGroup &G) {
+    uint64_t Avail;
+    {
+      std::lock_guard<std::mutex> Lock(M);
+      Avail = Published;
+    }
+    size_t Fed = 0;
+    for (uint64_t Seq = G.Next.load(); Seq < Avail; ++Seq, ++Fed) {
+      Slot &S = Window[Seq % WindowChunks];
+      G.feed(S.Events.data(), S.Events.size());
+      G.Next.store(Seq + 1);
+      bool Freed;
+      {
+        std::lock_guard<std::mutex> Lock(M);
+        Freed = --S.Readers == 0;
+        Avail = Published;
+      }
+      if (Freed)
+        FreedCV.notify_one();
+    }
+    return Fed;
+  }
+
+  ReplayGroups &Groups;
+  /// Publisher-only: chunks published so far, and chunks it replayed for
+  /// unclaimed groups.
+  uint64_t Sequence = 0;
+  uint64_t InlineChunks = 0;
+  std::mutex M;
+  std::condition_variable PublishedCV; ///< Groups wait for chunks here.
+  std::condition_variable FreedCV;     ///< The publisher waits for slots.
+  Slot Window[WindowChunks];           ///< Readers guarded by M.
+  uint64_t Published = 0;              ///< Guarded by M.
+  bool Closed = false;                 ///< Guarded by M.
+};
+
+/// Streamed replay of \p Points: \p Produce runs the chunk producer (live
+/// simulation or store decode) into the given consumer and returns
+/// whether the stream completed. On success fills \p Stats and
+/// \p Attrib in point order; on failure the replay state saw at most a
+/// prefix of the trace and is discarded.
+bool replayStreamed(const std::vector<SweepPoint> &Points, ThreadPool &Pool,
+                    uint64_t SizeHint,
+                    const std::function<bool(const ChunkConsumer &)> &Produce,
+                    std::vector<CacheStats> &Stats,
+                    std::vector<RefAttribution> &Attrib) {
+  ReplayGroups Groups = makeGroups(Points, Pool, nullptr, SizeHint);
+  if (!StreamedReplay(Groups).run(Pool, Produce))
+    return false;
+  Stats = gather(Groups, Points, Attrib);
+  return true;
 }
 
 } // namespace
@@ -392,9 +704,14 @@ void SweepEngine::forwardStoreDiags(const DiagnosticEngine &Local) {
     StoreDiags->report(D.Severity, D.Loc, D.Message);
 }
 
+uint64_t SweepEngine::sizeHint(const std::string &HintGroup) const {
+  std::lock_guard<std::mutex> Lock(M);
+  auto It = Hints.find(HintGroup);
+  return It == Hints.end() ? 0 : It->second;
+}
+
 bool SweepEngine::serveFromStore(Experiment &E,
                                  const std::vector<SweepPoint> &Rest,
-                                 uint32_t EffShards,
                                  uint64_t &TraceEvents,
                                  std::vector<CacheStats> &Replayed,
                                  std::vector<RefAttribution> &ReplayedAttrib) {
@@ -416,8 +733,7 @@ bool SweepEngine::serveFromStore(Experiment &E,
   // been recorded under a different policy than this experiment's base
   // configuration. A synthetic point at the base configuration rides
   // the replay set and its counters overwrite the stored ones below.
-  telemetry::ScopedPhase Serve("sweep.store-serve",
-                               EffShards > 1 ? "sharded" : "streaming");
+  telemetry::ScopedPhase Serve("sweep.store-serve");
   SweepPoint BasePt;
   BasePt.Config = E.Base.Cache;
   BasePt.Policy = E.Base.Cache.Policy;
@@ -425,38 +741,14 @@ bool SweepEngine::serveFromStore(Experiment &E,
   Work.push_back(BasePt);
   bool Ok = true;
   if (SweepPointStream::streamable(Work)) {
-    // Same shape as the live streaming path: decode overlaps replay
-    // through the recycled-buffer SPSC pipeline, peak memory O(chunk).
-    auto ServeInto = [&](auto &Stream) {
-      Stream.reserve(Reader.eventCount());
-      const bool Metered = telemetry::enabled();
-      uint64_t ReplayNs = 0;
-      Ok = streamStoredTrace(
-          Reader, [&](const TraceEvent *Events, size_t Count) {
-            if (!Metered) {
-              Stream.feed(Events, Count);
-              return;
-            }
-            uint64_t T0 = telemetry::nowNanos();
-            Stream.feed(Events, Count);
-            ReplayNs += telemetry::nowNanos() - T0;
-          });
-      if (Ok) {
-        uint64_t T0 = Metered ? telemetry::nowNanos() : 0;
-        Replayed = Stream.finish();
-        if (T0)
-          ReplayNs += telemetry::nowNanos() - T0;
-        collectAttribution(Stream, Work, ReplayedAttrib);
-      }
-      SweepReplayNs.add(ReplayNs);
-    };
-    if (EffShards > 1) {
-      ShardedSweepStream Stream(Work, EffShards, Pool);
-      ServeInto(Stream);
-    } else {
-      SweepPointStream Stream(Work);
-      ServeInto(Stream);
-    }
+    // Same shape as the live streaming path: decode overlaps replay,
+    // peak memory O(chunk).
+    Ok = replayStreamed(
+        Work, *Pool, Reader.eventCount(),
+        [&](const ChunkConsumer &Consume) {
+          return streamStoredTrace(Reader, Consume, ProducerQueueDepth);
+        },
+        Replayed, ReplayedAttrib);
   } else {
     // Belady MIN: materialize the decoded trace for its backward
     // next-use pass, exactly as the live path materializes its own.
@@ -464,11 +756,7 @@ bool SweepEngine::serveFromStore(Experiment &E,
     Ok = Reader.readAll(Trace);
     if (Ok) {
       telemetry::ScopedPhase Replay("sweep.replay");
-      uint64_t T0 = telemetry::enabled() ? telemetry::nowNanos() : 0;
-      Replayed =
-          replayMaterialized(Trace, Work, EffShards, Pool, ReplayedAttrib);
-      if (T0)
-        SweepReplayNs.add(telemetry::nowNanos() - T0);
+      Replayed = replayMaterialized(Trace, Work, *Pool, ReplayedAttrib);
       NumSweepBytesFreed.add(Trace.capacity() * sizeof(TraceEvent));
     }
   }
@@ -490,8 +778,7 @@ bool SweepEngine::serveFromStore(Experiment &E,
   // policy-invariant (ICache stats, occupancy, instruction counts).
   E.Result.Cache = Replayed.back();
   Replayed.pop_back();
-  if (ReplayedAttrib.size() > Rest.size())
-    ReplayedAttrib.resize(Rest.size());
+  ReplayedAttrib.resize(Rest.size());
   TraceEvents = Reader.eventCount();
   return true;
 }
@@ -506,8 +793,6 @@ void SweepEngine::run() {
       if (!E.Done)
         Pending.push_back(&E);
   }
-
-  const uint32_t EffShards = resolveShardCount(Shards, *Pool);
 
   Pool->parallelFor(Pending.size(), [&](size_t I) {
     Experiment &E = *Pending[I];
@@ -540,8 +825,8 @@ void SweepEngine::run() {
     std::vector<RefAttribution> ReplayedAttrib;
     const bool StoreEnabled = !StoreDir.empty() && E.ContentHash != 0;
     const bool Served =
-        StoreEnabled && serveFromStore(E, Rest, EffShards, TraceEvents,
-                                       Replayed, ReplayedAttrib);
+        StoreEnabled &&
+        serveFromStore(E, Rest, TraceEvents, Replayed, ReplayedAttrib);
 
     // On a store miss the live run tees its trace into a writer so the
     // next process (or a rerun) is served warm. The writer observes; it
@@ -556,108 +841,54 @@ void SweepEngine::run() {
 
     if (Served) {
       // Nothing to simulate: base result and points came from the store.
+    } else if (Rest.empty()) {
+      if (Writer.isOpen()) {
+        // No replay consumers, but the trace is still worth recording:
+        // stream it straight into the store.
+        TraceRecordSink Record(Writer);
+        Config.Sink = &Record;
+        E.Result = E.Run(Config);
+        Config.Sink = nullptr;
+        TraceEvents = Writer.eventCount();
+      } else {
+        E.Result = E.Run(Config); // No replay consumers at all.
+      }
     } else if (SweepPointStream::streamable(Rest)) {
       // Streaming mode: replay overlaps generation chunk by chunk and
       // the trace is never materialized — peak trace memory drops from
       // O(trace) to O(chunk), which is what lets the sweep methodology
-      // scale to much larger workloads.
-      if (Rest.empty()) {
-        if (Writer.isOpen()) {
-          // No replay consumers, but the trace is still worth
-          // recording: stream it straight into the store.
-          TraceRecordSink Record(Writer);
-          Config.Sink = &Record;
-          E.Result = E.Run(Config);
-          Config.Sink = nullptr;
-          TraceEvents = Writer.eventCount();
-        } else {
-          E.Result = E.Run(Config); // No replay consumers at all.
-        }
-      } else {
-        // The span covers the whole streamed pipeline (replay overlaps
-        // generation on this thread); SweepReplayNs meters the replay
-        // kernels' active time alone. With sharding, feed() is the
-        // cheap demux (overlapping generation) and finish() fans the
-        // replay units out across the pool via nested parallelFor.
-        telemetry::ScopedPhase Replay(
-            "sweep.replay", EffShards > 1 ? "sharded" : "streaming");
-        uint64_t SizeHint = 0;
-        {
-          std::lock_guard<std::mutex> Lock(M);
-          auto It = Hints.find(E.HintGroup);
-          if (It != Hints.end())
-            SizeHint = It->second;
-        }
-        // Replay work is interleaved with generation on this thread, so
-        // it is metered by accumulated intervals rather than one span.
-        // Recording rides the producer thread: the tap sees each chunk
-        // before it is queued for replay, so a store miss costs one
-        // encode pass overlapped with replay, not an extra trace walk.
-        std::function<void(const TraceEvent *, size_t)> RecordTap;
-        if (Writer.isOpen())
-          RecordTap = [&Writer](const TraceEvent *Events, size_t Count) {
-            Writer.append(Events, Count);
-          };
-        auto StreamInto = [&](auto &Stream) {
-          if (SizeHint)
-            Stream.reserve(SizeHint);
-          const bool Metered = telemetry::enabled();
-          uint64_t ReplayNs = 0;
-          E.Result = streamTrace(
-              Config, E.Run,
-              [&](const TraceEvent *Events, size_t Count) {
-                if (!Metered) {
-                  Stream.feed(Events, Count);
-                  return;
-                }
-                uint64_t T0 = telemetry::nowNanos();
-                Stream.feed(Events, Count);
-                ReplayNs += telemetry::nowNanos() - T0;
-              },
-              /*QueueDepth=*/4, &TraceEvents, RecordTap);
-          if (E.Result.ok()) {
-            if (Metered) {
-              uint64_t T0 = telemetry::nowNanos();
-              Replayed = Stream.finish();
-              ReplayNs += telemetry::nowNanos() - T0;
-            } else {
-              Replayed = Stream.finish();
-            }
-            collectAttribution(Stream, Rest, ReplayedAttrib);
-          }
-          SweepReplayNs.add(ReplayNs);
+      // scale to much larger workloads. The span covers the whole
+      // pipeline; SweepReplayNs meters the replay kernels alone.
+      telemetry::ScopedPhase Replay("sweep.replay", "streaming");
+      // Recording rides the producer thread: the tap sees each chunk
+      // before it is queued for replay, so a store miss costs one
+      // encode pass overlapped with replay, not an extra trace walk.
+      std::function<void(const TraceEvent *, size_t)> RecordTap;
+      if (Writer.isOpen())
+        RecordTap = [&Writer](const TraceEvent *Events, size_t Count) {
+          Writer.append(Events, Count);
         };
-        if (EffShards > 1) {
-          ShardedSweepStream Stream(Rest, EffShards, Pool);
-          StreamInto(Stream);
-        } else {
-          SweepPointStream Stream(Rest);
-          StreamInto(Stream);
-        }
-      }
+      replayStreamed(
+          Rest, *Pool, sizeHint(E.HintGroup),
+          [&](const ChunkConsumer &Consume) {
+            E.Result = streamTrace(Config, E.Run, Consume, ProducerQueueDepth,
+                                   &TraceEvents, RecordTap);
+            return E.Result.ok();
+          },
+          Replayed, ReplayedAttrib);
     } else {
       // Belady MIN needs the whole trace (backward next-use pass):
       // materialize it, replay, and drop it before the next experiment.
       Config.RecordTrace = true;
-      {
-        std::lock_guard<std::mutex> Lock(M);
-        auto It = Hints.find(E.HintGroup);
-        if (It != Hints.end())
-          Config.TraceSizeHint = It->second;
-      }
+      Config.TraceSizeHint = sizeHint(E.HintGroup);
       E.Result = E.Run(Config);
       if (E.Result.ok()) {
         TraceEvents = E.Result.Trace.size();
         if (Writer.isOpen())
           Writer.append(E.Result.Trace.data(), E.Result.Trace.size());
-        if (!Rest.empty()) {
-          telemetry::ScopedPhase Replay("sweep.replay");
-          uint64_t T0 = telemetry::enabled() ? telemetry::nowNanos() : 0;
-          Replayed = replayMaterialized(E.Result.Trace, Rest, EffShards,
-                                        Pool, ReplayedAttrib);
-          if (T0)
-            SweepReplayNs.add(telemetry::nowNanos() - T0);
-        }
+        telemetry::ScopedPhase Replay("sweep.replay");
+        Replayed =
+            replayMaterialized(E.Result.Trace, Rest, *Pool, ReplayedAttrib);
       }
       NumSweepBytesFreed.add(E.Result.Trace.capacity() *
                              sizeof(TraceEvent));
@@ -690,8 +921,7 @@ void SweepEngine::run() {
       E.Attrib.resize(E.Points.size());
       for (size_t R = 0; R != RestIndex.size(); ++R) {
         E.Stats[RestIndex[R]] = Replayed[R];
-        if (R < ReplayedAttrib.size())
-          E.Attrib[RestIndex[R]] = std::move(ReplayedAttrib[R]);
+        E.Attrib[RestIndex[R]] = std::move(ReplayedAttrib[R]);
       }
     }
     std::lock_guard<std::mutex> Lock(M);

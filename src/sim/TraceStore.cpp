@@ -823,6 +823,17 @@ bool urcm::streamStoredTrace(
     TraceStoreReader &Reader,
     const std::function<void(const TraceEvent *, size_t)> &Consume,
     size_t QueueDepth) {
+  return streamStoredTrace(
+      Reader,
+      ChunkConsumer([&](std::vector<TraceEvent> &Chunk) {
+        Consume(Chunk.data(), Chunk.size());
+      }),
+      QueueDepth);
+}
+
+bool urcm::streamStoredTrace(TraceStoreReader &Reader,
+                             const ChunkConsumer &Consume,
+                             size_t QueueDepth) {
   StreamedTrace Stream(QueueDepth);
   std::thread Decoder([&] {
     if (telemetry::enabled())
@@ -845,7 +856,7 @@ bool urcm::streamStoredTrace(
     if (ConsumerError)
       continue; // Keep draining so the decoder never deadlocks.
     try {
-      Consume(Chunk.data(), Chunk.size());
+      Consume(Chunk);
     } catch (...) {
       ConsumerError = std::current_exception();
     }

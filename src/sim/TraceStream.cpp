@@ -48,6 +48,19 @@ SimResult urcm::streamTrace(
     const std::function<void(const TraceEvent *, size_t)> &Consume,
     size_t QueueDepth, uint64_t *EventCount,
     const std::function<void(const TraceEvent *, size_t)> &ProducerTap) {
+  return streamTrace(
+      std::move(Config), Produce,
+      ChunkConsumer([&](std::vector<TraceEvent> &Chunk) {
+        Consume(Chunk.data(), Chunk.size());
+      }),
+      QueueDepth, EventCount, ProducerTap);
+}
+
+SimResult urcm::streamTrace(
+    SimConfig Config,
+    const std::function<SimResult(const SimConfig &)> &Produce,
+    const ChunkConsumer &Consume, size_t QueueDepth, uint64_t *EventCount,
+    const std::function<void(const TraceEvent *, size_t)> &ProducerTap) {
   StreamedTrace Stream(QueueDepth);
   TapSink Tap(Stream, ProducerTap);
   Config.Sink = ProducerTap ? static_cast<TraceSink *>(&Tap) : &Stream;
@@ -73,7 +86,7 @@ SimResult urcm::streamTrace(
     if (ConsumerError)
       continue; // Keep draining so the producer never deadlocks.
     try {
-      Consume(Chunk.data(), Chunk.size());
+      Consume(Chunk);
     } catch (...) {
       ConsumerError = std::current_exception();
     }

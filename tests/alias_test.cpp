@@ -63,8 +63,9 @@ TEST(AliasAnalysis, EscapedGlobalScalarIsAmbiguous) {
   // Every direct reference to g is now ambiguous: a pointer may name it.
   for (const auto &B : L.F->blocks())
     for (const Instruction &I : B->insts())
-      if (I.isMemAccess() && I.addressOperand().isGlobal())
+      if (I.isMemAccess() && I.addressOperand().isGlobal()) {
         EXPECT_FALSE(AA.isUnambiguous(I));
+      }
 }
 
 TEST(AliasAnalysis, ArrayElementIsAmbiguous) {
@@ -82,8 +83,9 @@ TEST(AliasAnalysis, PointerDerefIsAmbiguous) {
   AliasInfo AA(*L.Module.IR, *L.F, ME);
   for (const auto &B : L.F->blocks())
     for (const Instruction &I : B->insts())
-      if (I.isMemAccess())
+      if (I.isMemAccess()) {
         EXPECT_FALSE(AA.isUnambiguous(I));
+      }
 }
 
 TEST(AliasAnalysis, PointsToTracksAddressFlow) {

@@ -485,22 +485,28 @@ TEST(CacheModelStore, WarmPolicyGridMatchesColdAndPlain) {
   Cold.run();
   EXPECT_FALSE(ColdDiags.hasErrors()) << ColdDiags.str();
 
-  for (uint32_t Shards : {1u, 7u, 0u}) {
-    DiagnosticEngine WarmDiags;
-    SweepEngine Warm;
-    Warm.setShards(Shards);
-    Warm.setTraceStore(Dir.str(), &WarmDiags);
-    Warm.schedule("exp", "g", Base, Points, Queen.producer(), Hash);
-    Warm.run();
-    EXPECT_FALSE(WarmDiags.hasErrors()) << WarmDiags.str();
-    for (size_t I = 0; I != Points.size(); ++I) {
-      EXPECT_EQ(Warm.point("exp", I), Plain.point("exp", I))
-          << "warm shards=" << Shards << " policy="
-          << cachePolicyName(Points[I].Policy) << " point " << I;
-      EXPECT_EQ(Cold.point("exp", I), Plain.point("exp", I))
-          << "cold policy=" << cachePolicyName(Points[I].Policy)
-          << " point " << I;
-    }
+  // The oracle: per-point sequential replay of a freshly recorded trace.
+  SimConfig Traced = Base;
+  Traced.RecordTrace = true;
+  const SimResult Recorded = Simulator(Traced).run(*Queen.Prog);
+  ASSERT_TRUE(Recorded.ok()) << Recorded.Error;
+
+  DiagnosticEngine WarmDiags;
+  ThreadPool Pool(4);
+  SweepEngine Warm(&Pool);
+  Warm.setTraceStore(Dir.str(), &WarmDiags);
+  Warm.schedule("exp", "g", Base, Points, Queen.producer(), Hash);
+  Warm.run();
+  EXPECT_FALSE(WarmDiags.hasErrors()) << WarmDiags.str();
+  for (size_t I = 0; I != Points.size(); ++I) {
+    const CacheStats Oracle = replaySweepPoints(Recorded.Trace, {Points[I]})[0];
+    const char *Policy = cachePolicyName(Points[I].Policy);
+    EXPECT_EQ(Plain.point("exp", I), Oracle)
+        << "plain policy=" << Policy << " point " << I;
+    EXPECT_EQ(Cold.point("exp", I), Oracle)
+        << "cold policy=" << Policy << " point " << I;
+    EXPECT_EQ(Warm.point("exp", I), Oracle)
+        << "warm policy=" << Policy << " point " << I;
   }
   EXPECT_EQ(Queen.Calls->load(), 2) << "plain + cold; warm runs served";
 }

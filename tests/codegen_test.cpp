@@ -37,12 +37,15 @@ void checkProgramInvariants(const MachineProgram &P) {
     default:
       break;
     }
-    if (I.Rd != mreg::None)
+    if (I.Rd != mreg::None) {
       EXPECT_LT(I.Rd, mreg::NumRegs);
-    if (I.Rs1 != mreg::None)
+    }
+    if (I.Rs1 != mreg::None) {
       EXPECT_LT(I.Rs1, mreg::NumRegs);
-    if (I.Rs2 != mreg::None)
+    }
+    if (I.Rs2 != mreg::None) {
       EXPECT_LT(I.Rs2, mreg::NumRegs);
+    }
   }
   // Entry stub: set SP, call main, halt.
   EXPECT_EQ(P.Code[P.EntryIndex].Op, MOpcode::Li);

@@ -241,8 +241,9 @@ TEST(RefAttribution, UnnumberedEventsLandInOverflowRow) {
 
 //===----------------------------------------------------------------------===//
 // The acceptance grid: six paper benchmarks, engine-served attribution,
-// shards {1, 7, auto} x {no store, cold, warm}, bit-identical — and
-// equal to the live DataCache's table for the same geometry.
+// point-parallel x {no store, cold, warm}, bit-identical to each point
+// replayed alone — and equal to the live DataCache's table for the same
+// geometry.
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -260,10 +261,9 @@ std::shared_ptr<MachineProgram> compileEraUnified(const Workload &W) {
 /// One engine run; \p StoreDir empty disables the store.
 std::vector<RefAttribution>
 engineAttribution(std::shared_ptr<MachineProgram> Prog,
-                  const std::vector<SweepPoint> &Points, uint32_t Shards,
+                  const std::vector<SweepPoint> &Points,
                   const std::string &StoreDir, ThreadPool &Pool) {
   SweepEngine Engine(&Pool);
-  Engine.setShards(Shards);
   DiagnosticEngine Diags;
   if (!StoreDir.empty())
     Engine.setTraceStore(StoreDir, &Diags);
@@ -287,7 +287,7 @@ engineAttribution(std::shared_ptr<MachineProgram> Prog,
 
 } // namespace
 
-TEST(RefAttribution, SixBenchmarksAcrossShardsAndStoreModes) {
+TEST(RefAttribution, SixBenchmarksAcrossStoreModes) {
   ThreadPool Pool(4);
   for (const Workload &W : paperWorkloads()) {
     std::shared_ptr<MachineProgram> Prog = compileEraUnified(W);
@@ -302,9 +302,16 @@ TEST(RefAttribution, SixBenchmarksAcrossShardsAndStoreModes) {
     for (SweepPoint &P : Points)
       P.AttributionRefs = NumRefs;
 
-    // The oracle: sequential, no store.
-    const std::vector<RefAttribution> Oracle =
-        engineAttribution(Prog, Points, 1, "", Pool);
+    // The oracle: each point replayed alone, sequentially, from a
+    // freshly recorded trace.
+    SimConfig Traced;
+    Traced.Cache = config(128, 2);
+    Traced.RecordTrace = true;
+    const SimResult Recorded = Simulator(Traced).run(*Prog);
+    ASSERT_TRUE(Recorded.ok()) << W.Name << ": " << Recorded.Error;
+    std::vector<RefAttribution> Oracle;
+    for (const SweepPoint &P : Points)
+      Oracle.push_back(runSequential(Recorded.Trace, {P}).Attrib[0]);
     // The hinted point must see the hint machinery in action somewhere
     // across the benchmarks; spot-check it is not all-zero here.
     uint64_t Accesses = 0;
@@ -320,18 +327,11 @@ TEST(RefAttribution, SixBenchmarksAcrossShardsAndStoreModes) {
         EXPECT_EQ(Got[I], Oracle[I])
             << W.Name << " " << Label << " point " << I;
     };
-    // No store, sharded.
-    expectMatch(engineAttribution(Prog, Points, 7, "", Pool),
-                "no-store/shards=7");
-    // Cold store (records), sequential.
-    expectMatch(engineAttribution(Prog, Points, 1, Dir.str(), Pool),
-                "cold/shards=1");
-    // Warm store (trace decoded from disk, no Simulator), sharded and
-    // auto-sharded.
-    expectMatch(engineAttribution(Prog, Points, 7, Dir.str(), Pool),
-                "warm/shards=7");
-    expectMatch(engineAttribution(Prog, Points, 0, Dir.str(), Pool),
-                "warm/shards=auto");
+    expectMatch(engineAttribution(Prog, Points, "", Pool), "no-store");
+    // Cold store (records), then warm (trace decoded from disk, no
+    // Simulator).
+    expectMatch(engineAttribution(Prog, Points, Dir.str(), Pool), "cold");
+    expectMatch(engineAttribution(Prog, Points, Dir.str(), Pool), "warm");
   }
 }
 
@@ -356,7 +356,7 @@ TEST(RefAttribution, LiveSimulatorMatchesEngineReplay) {
       {config(128, 2), TracePolicy::LRU, false}};
   Points[0].AttributionRefs = NumRefs;
   const std::vector<RefAttribution> Replayed =
-      engineAttribution(Prog, Points, 7, "", Pool);
+      engineAttribution(Prog, Points, "", Pool);
   EXPECT_EQ(Replayed[0], Live);
 }
 

@@ -40,11 +40,13 @@ void expectRegsBelow(const IRModule &M, uint32_t Limit) {
   for (const auto &F : M.functions()) {
     for (const auto &B : F->blocks()) {
       for (const Instruction &I : B->insts()) {
-        if (I.Dst != NoReg)
+        if (I.Dst != NoReg) {
           EXPECT_LT(I.Dst, Limit);
+        }
         for (const Operand &O : I.Ops)
-          if (O.isReg())
+          if (O.isReg()) {
             EXPECT_LT(O.getReg(), Limit);
+          }
       }
     }
     for (uint32_t P = 0; P != F->numParams(); ++P)
@@ -154,8 +156,9 @@ TEST(RegAlloc, IdentityMovesCoalesced) {
     for (const auto &B : F->blocks())
       for (const Instruction &I : B->insts())
         if (I.Op == Opcode::Mov && I.Ops[0].isReg() &&
-            I.Ops[0].getOffset() == 0)
+            I.Ops[0].getOffset() == 0) {
           EXPECT_NE(I.Ops[0].getReg(), I.Dst);
+        }
 }
 
 TEST(RegAlloc, BothPoliciesPreserveWebCount) {

@@ -198,21 +198,21 @@ TEST(ShardedReplay, CapacityShardsMatchStackSweep) {
   }
 }
 
-/// The engine-level integration: a sharded engine (streaming branch and
-/// the materialized MIN branch both) returns the same point stats and
-/// base results as the sequential oracle, for every shard policy.
-TEST(ShardedReplay, EngineShardsBitIdenticalToSequentialOracle) {
+/// The engine-level integration: one point-parallel engine run (the
+/// streaming branch and the materialized MIN branch both) and the
+/// set-sharded library replay return the counters of each point
+/// replayed alone, sequentially.
+TEST(ShardedReplay, EngineAndShardedReplayMatchSequentialOracle) {
   const Workload *W = findWorkload("Queen");
   ASSERT_NE(W, nullptr);
   std::vector<SweepPoint> Streamable = mixedShardablePoints();
   std::vector<SweepPoint> WithMin = mixedShardablePoints();
   WithMin.push_back({config(128, 2), TracePolicy::MIN, false});
+  const std::vector<TraceEvent> Trace = tracedWorkloadRun(*W);
 
-  auto runEngine = [&](uint32_t ShardRequest,
-                       const std::vector<SweepPoint> &Points) {
-    ThreadPool Pool(4);
+  ThreadPool Pool(4);
+  for (const std::vector<SweepPoint> &Points : {Streamable, WithMin}) {
     SweepEngine Engine(&Pool);
-    Engine.setShards(ShardRequest);
     SimConfig Base;
     Base.Cache = config(128, 2);
     Engine.schedule("exp", "grp", Base, Points,
@@ -228,21 +228,13 @@ TEST(ShardedReplay, EngineShardsBitIdenticalToSequentialOracle) {
                                            Sim, Diags);
                     });
     Engine.run();
-    std::vector<CacheStats> Stats;
-    for (size_t I = 0; I != Points.size(); ++I)
-      Stats.push_back(Engine.point("exp", I));
-    EXPECT_TRUE(Engine.base("exp").ok());
-    return Stats;
-  };
-
-  for (const std::vector<SweepPoint> &Points : {Streamable, WithMin}) {
-    const std::vector<CacheStats> Oracle = runEngine(1, Points);
-    for (uint32_t Request : {0u, 4u, 7u}) {
-      const std::vector<CacheStats> Sharded = runEngine(Request, Points);
-      ASSERT_EQ(Sharded.size(), Oracle.size());
-      for (size_t I = 0; I != Oracle.size(); ++I)
-        EXPECT_EQ(Sharded[I], Oracle[I])
-            << "shards=" << Request << " point " << I;
+    ASSERT_TRUE(Engine.base("exp").ok());
+    const std::vector<CacheStats> Sharded = replaySweepPointsSharded(
+        Trace, Points, resolveShardCount(0, Pool), &Pool);
+    for (size_t I = 0; I != Points.size(); ++I) {
+      const CacheStats Oracle = replaySweepPoints(Trace, {Points[I]})[0];
+      EXPECT_EQ(Engine.point("exp", I), Oracle) << "engine point " << I;
+      EXPECT_EQ(Sharded[I], Oracle) << "sharded point " << I;
     }
   }
 }

@@ -14,14 +14,20 @@
 #include "urcm/sim/SweepEngine.h"
 
 #include "urcm/driver/Driver.h"
+#include "urcm/sim/TraceStore.h"
 #include "urcm/sim/TraceStream.h"
 #include "urcm/support/RNG.h"
+#include "urcm/support/Telemetry.h"
 #include "urcm/support/ThreadPool.h"
 #include "urcm/workloads/Workloads.h"
 
 #include <algorithm>
 #include <atomic>
+#include <cstdlib>
+#include <filesystem>
 #include <gtest/gtest.h>
+#include <thread>
+#include <unistd.h>
 
 using namespace urcm;
 
@@ -431,3 +437,266 @@ TEST(Streaming, ConsumerExceptionPropagatesWithoutDeadlock) {
           /*QueueDepth=*/1),
       std::runtime_error);
 }
+
+TEST(Streaming, ChunkConsumerMayKeepEveryBuffer) {
+  // A buffer-taking consumer that keeps each chunk (swapping in a fresh
+  // buffer) must still see the whole trace, in order.
+  CompileOptions O;
+  O.Scheme = UnifiedOptions::unified();
+  SimConfig Buffered;
+  Buffered.Cache = config(128, 2);
+  Buffered.RecordTrace = true;
+  SimResult Base = runWorkload("Queen", O, Buffered);
+  ASSERT_FALSE(Base.Trace.empty());
+
+  const Workload *W = findWorkload("Queen");
+  SimConfig Streamed = Buffered;
+  Streamed.TraceChunkEvents = 1000;
+  std::vector<std::vector<TraceEvent>> Kept;
+  SimResult R = streamTrace(
+      Streamed,
+      [&](const SimConfig &Sim) {
+        DiagnosticEngine Diags;
+        return compileAndRun(W->Source, O, Sim, Diags);
+      },
+      ChunkConsumer([&](std::vector<TraceEvent> &Chunk) {
+        Kept.emplace_back();
+        Kept.back().swap(Chunk);
+      }),
+      /*QueueDepth=*/2);
+  ASSERT_TRUE(R.ok()) << R.Error;
+  std::vector<TraceEvent> Collected;
+  for (const std::vector<TraceEvent> &Chunk : Kept)
+    Collected.insert(Collected.end(), Chunk.begin(), Chunk.end());
+  ASSERT_EQ(Collected.size(), Base.Trace.size());
+  for (size_t I = 0; I != Collected.size(); ++I)
+    ASSERT_EQ(Collected[I].Addr, Base.Trace[I].Addr) << "event " << I;
+}
+
+//===----------------------------------------------------------------------===//
+// Point-parallel replay: the engine splits one experiment's points into
+// groups on the pool; every point must equal the same point replayed
+// alone, sequentially, in every trace mode and at every pool width.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Fresh store directory per test case, removed on destruction.
+struct ScratchDir {
+  std::filesystem::path Path;
+  explicit ScratchDir(const char *Name) {
+    Path = std::filesystem::temp_directory_path() /
+           (std::string("urcm_sweepengine_") + Name + "." +
+            std::to_string(::getpid()));
+    std::filesystem::remove_all(Path);
+    std::filesystem::create_directories(Path);
+  }
+  ~ScratchDir() {
+    std::error_code EC;
+    std::filesystem::remove_all(Path, EC);
+  }
+  std::string str() const { return Path.string(); }
+};
+
+std::shared_ptr<MachineProgram> compileUnified(const std::string &Name) {
+  const Workload *W = findWorkload(Name);
+  EXPECT_NE(W, nullptr);
+  CompileOptions O;
+  O.Scheme = UnifiedOptions::unified();
+  DiagnosticEngine Diags;
+  CompileResult R = compileProgram(W->Source, O, Diags);
+  EXPECT_TRUE(R.Ok) << Diags.str();
+  return std::make_shared<MachineProgram>(std::move(R.Program));
+}
+
+/// Every policy in both hint views at the paper geometry, each with
+/// per-reference attribution, plus attribution-free fully-associative
+/// LRU points that group into shared stack-distance walks. \p WithMIN
+/// adds Belady MIN, which moves the experiment onto the
+/// materialized-trace path.
+std::vector<SweepPoint> pointParallelGrid(uint32_t NumRefs, bool WithMIN) {
+  std::vector<SweepPoint> Points;
+  for (CachePolicy P :
+       {CachePolicy::LRU, CachePolicy::FIFO, CachePolicy::Random,
+        CachePolicy::TreePLRU, CachePolicy::SRRIP,
+        CachePolicy::LivenessBypass, CachePolicy::MIN}) {
+    if (P == CachePolicy::MIN && !WithMIN)
+      continue;
+    for (bool IgnoreHints : {false, true}) {
+      SweepPoint Pt{config(128, 2), P, IgnoreHints};
+      Pt.Config.Policy = P;
+      Pt.AttributionRefs = NumRefs;
+      Points.push_back(Pt);
+    }
+  }
+  for (uint32_t Lines : {16u, 64u})
+    for (bool IgnoreHints : {false, true})
+      Points.push_back(
+          {config(Lines, Lines), CachePolicy::LRU, IgnoreHints});
+  return Points;
+}
+
+struct PointOracle {
+  std::vector<CacheStats> Stats;
+  std::vector<RefAttribution> Attrib;
+};
+
+/// The oracle: each point replayed alone — replaySweepPoints for the
+/// counters, a one-point SweepPointStream for the attribution table.
+PointOracle perPointOracle(const std::vector<TraceEvent> &Trace,
+                           const std::vector<SweepPoint> &Points) {
+  PointOracle O;
+  for (const SweepPoint &P : Points) {
+    O.Stats.push_back(replaySweepPoints(Trace, {P})[0]);
+    SweepPointStream Stream({P}, &Trace);
+    Stream.feed(Trace.data(), Trace.size());
+    Stream.finish();
+    O.Attrib.push_back(Stream.takeAttribution(0));
+  }
+  return O;
+}
+
+void expectMatchesOracle(const SweepEngine &Engine,
+                         const std::vector<SweepPoint> &Points,
+                         const PointOracle &Oracle,
+                         const std::string &Label) {
+  ASSERT_TRUE(Engine.base("exp").ok()) << Label;
+  for (size_t I = 0; I != Points.size(); ++I) {
+    const std::string At = Label + " point " + std::to_string(I) + " (" +
+                           cachePolicyName(Points[I].Policy) +
+                           (Points[I].IgnoreHints ? ", stripped)" : ")");
+    EXPECT_EQ(Engine.point("exp", I), Oracle.Stats[I]) << At;
+    if (Points[I].wantsAttribution()) {
+      EXPECT_EQ(Engine.attribution("exp", I), Oracle.Attrib[I]) << At;
+    }
+  }
+}
+
+/// Enables telemetry for one test and resets it on both ends.
+struct TelemetryScope {
+  TelemetryScope() {
+    telemetry::setEnabled(true);
+    telemetry::reset();
+  }
+  ~TelemetryScope() {
+    telemetry::setEnabled(false);
+    telemetry::reset();
+  }
+};
+
+uint64_t telemetryCounter(const char *Name) {
+  std::string JSON = telemetry::snapshotJSON();
+  std::string Key = std::string("\"") + Name + "\": ";
+  size_t At = JSON.find(Key);
+  if (At == std::string::npos)
+    return 0;
+  return std::strtoull(JSON.c_str() + At + Key.size(), nullptr, 10);
+}
+
+TEST(PointParallel, EngineMatchesPerPointOracleInEveryModeAndWidth) {
+  std::shared_ptr<MachineProgram> Prog = compileUnified("Queen");
+  const uint32_t NumRefs = static_cast<uint32_t>(Prog->RefTable.size());
+  SimConfig Base;
+  Base.Cache = config(128, 2);
+  // Many more chunks than the publisher's window, so groups run ahead
+  // of and behind one another.
+  Base.TraceChunkEvents = 4096;
+  SimConfig Traced = Base;
+  Traced.RecordTrace = true;
+  const SimResult Recorded = Simulator(Traced).run(*Prog);
+  ASSERT_TRUE(Recorded.ok()) << Recorded.Error;
+  ASSERT_GT(Recorded.Trace.size(), 8u * Base.TraceChunkEvents);
+  const uint64_t Hash = traceContentHash(*Prog, Base);
+  auto Calls = std::make_shared<std::atomic<int>>(0);
+  SweepEngine::Producer Produce = [Prog, Calls](const SimConfig &Sim) {
+    Calls->fetch_add(1);
+    Simulator S(Sim);
+    return S.run(*Prog);
+  };
+
+  // Live stream (no MIN) and the materialized MIN path, each cold into
+  // a store, then live and warm at pool widths 1, 2 and 4.
+  for (bool WithMIN : {false, true}) {
+    const std::vector<SweepPoint> Points =
+        pointParallelGrid(NumRefs, WithMIN);
+    const PointOracle Oracle = perPointOracle(Recorded.Trace, Points);
+    const std::string Path = WithMIN ? "materialized" : "streamed";
+    ScratchDir Dir(Path.c_str());
+    {
+      SweepEngine Cold;
+      DiagnosticEngine Diags;
+      Cold.setTraceStore(Dir.str(), &Diags);
+      Cold.schedule("exp", "g", Base, Points, Produce, Hash);
+      Cold.run();
+      EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
+      expectMatchesOracle(Cold, Points, Oracle, Path + " cold");
+    }
+    for (unsigned Width : {1u, 2u, 4u}) {
+      ThreadPool Pool(Width);
+      const std::string Label = Path + " width " + std::to_string(Width);
+      SweepEngine Live(&Pool);
+      Live.schedule("exp", "g", Base, Points, Produce);
+      Live.run();
+      expectMatchesOracle(Live, Points, Oracle, Label + " live");
+
+      const int CallsBefore = Calls->load();
+      SweepEngine Warm(&Pool);
+      DiagnosticEngine Diags;
+      Warm.setTraceStore(Dir.str(), &Diags);
+      Warm.schedule("exp", "g", Base, Points, Produce, Hash);
+      Warm.run();
+      EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
+      EXPECT_EQ(Calls->load(), CallsBefore) << Label << ": warm simulated";
+      expectMatchesOracle(Warm, Points, Oracle, Label + " warm");
+      EXPECT_EQ(Warm.base("exp").Cache, Oracle.Stats[0]) << Label;
+    }
+  }
+}
+
+TEST(PointParallel, SaturatedPoolReplaysInlineWithoutDeadlock) {
+  // Every worker is parked inside an outer parallelFor while the engine
+  // runs, so no pool thread can claim a replay group: the publishing
+  // thread must replay every group's chunks itself rather than wait on
+  // a group nobody runs.
+  TelemetryScope Telemetry;
+  std::shared_ptr<MachineProgram> Prog = compileUnified("Queen");
+  SimConfig Base;
+  Base.Cache = config(128, 2);
+  Base.TraceChunkEvents = 1024;
+  SimConfig Traced = Base;
+  Traced.RecordTrace = true;
+  const SimResult Recorded = Simulator(Traced).run(*Prog);
+  ASSERT_TRUE(Recorded.ok()) << Recorded.Error;
+
+  for (bool WithMIN : {false, true}) {
+    const std::vector<SweepPoint> Points = pointParallelGrid(
+        static_cast<uint32_t>(Prog->RefTable.size()), WithMIN);
+    const PointOracle Oracle = perPointOracle(Recorded.Trace, Points);
+    ThreadPool Pool(2);
+    SweepEngine Engine(&Pool);
+    Engine.schedule("exp", "g", Base, Points, [Prog](const SimConfig &Sim) {
+      Simulator S(Sim);
+      return S.run(*Prog);
+    });
+    std::atomic<int> Parked{0};
+    std::atomic<bool> Release{false};
+    Pool.parallelFor(Pool.size() + 1, [&](size_t I) {
+      if (I != 0) {
+        Parked.fetch_add(1);
+        while (!Release.load())
+          std::this_thread::yield();
+        return;
+      }
+      while (Parked.load() != static_cast<int>(Pool.size()))
+        std::this_thread::yield();
+      Engine.run();
+      Release.store(true);
+    });
+    expectMatchesOracle(Engine, Points, Oracle,
+                        WithMIN ? "saturated materialized"
+                                : "saturated streamed");
+  }
+  EXPECT_GT(telemetryCounter("sim.replay.inline-chunks"), 0u);
+}
+
+} // namespace

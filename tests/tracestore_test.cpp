@@ -467,7 +467,23 @@ std::vector<SweepPoint> mixedPoints() {
   };
 }
 
-TEST(TraceStoreEngine, WarmMatchesColdAcrossShardCounts) {
+/// Per-point sequential replay of a freshly recorded trace: the oracle
+/// every engine mode must match bit for bit.
+std::vector<CacheStats>
+sequentialOracle(const MachineProgram &Prog, const SimConfig &Base,
+                 const std::vector<SweepPoint> &Points) {
+  SimConfig Traced = Base;
+  Traced.RecordTrace = true;
+  Simulator S(Traced);
+  SimResult R = S.run(Prog);
+  EXPECT_TRUE(R.ok()) << R.Error;
+  std::vector<CacheStats> Out;
+  for (const SweepPoint &P : Points)
+    Out.push_back(replaySweepPoints(R.Trace, {P})[0]);
+  return Out;
+}
+
+TEST(TraceStoreEngine, WarmMatchesColdAndSequentialOracle) {
   ScratchDir Dir("engine");
   CountedProducer Queen("Queen");
   std::vector<SweepPoint> Points = mixedPoints();
@@ -485,24 +501,26 @@ TEST(TraceStoreEngine, WarmMatchesColdAcrossShardCounts) {
   ASSERT_TRUE(Cold.base("exp").ok());
   ASSERT_TRUE(std::filesystem::exists(traceStorePath(Dir.str(), Hash)));
 
-  // Warm, across shard counts {1, 7, auto}: the producer is never
-  // invoked again and every counter is bit-identical to cold.
-  for (uint32_t Shards : {1u, 7u, 0u}) {
-    DiagnosticEngine WarmDiags;
-    SweepEngine Warm;
-    Warm.setShards(Shards);
-    Warm.setTraceStore(Dir.str(), &WarmDiags);
-    Warm.schedule("exp", "g", Base, Points, Queen.producer(), Hash);
-    Warm.run();
-    EXPECT_EQ(Queen.Calls->load(), 1) << "shards " << Shards;
-    EXPECT_FALSE(WarmDiags.hasErrors()) << WarmDiags.str();
-    const SimResult &CB = Cold.base("exp"), &WB = Warm.base("exp");
-    EXPECT_EQ(WB.Steps, CB.Steps) << "shards " << Shards;
-    EXPECT_EQ(WB.Output, CB.Output) << "shards " << Shards;
-    EXPECT_EQ(WB.Cache, CB.Cache) << "shards " << Shards;
-    for (size_t P = 0; P != Points.size(); ++P)
-      EXPECT_EQ(Warm.point("exp", P), Cold.point("exp", P))
-          << "shards " << Shards << " point " << P;
+  // Warm, point-parallel on a 4-wide pool: the producer is never
+  // invoked again and every counter is bit-identical to cold and to the
+  // per-point sequential oracle.
+  const std::vector<CacheStats> Oracle =
+      sequentialOracle(*Queen.Prog, Base, Points);
+  DiagnosticEngine WarmDiags;
+  ThreadPool Pool(4);
+  SweepEngine Warm(&Pool);
+  Warm.setTraceStore(Dir.str(), &WarmDiags);
+  Warm.schedule("exp", "g", Base, Points, Queen.producer(), Hash);
+  Warm.run();
+  EXPECT_EQ(Queen.Calls->load(), 1);
+  EXPECT_FALSE(WarmDiags.hasErrors()) << WarmDiags.str();
+  const SimResult &CB = Cold.base("exp"), &WB = Warm.base("exp");
+  EXPECT_EQ(WB.Steps, CB.Steps);
+  EXPECT_EQ(WB.Output, CB.Output);
+  EXPECT_EQ(WB.Cache, CB.Cache);
+  for (size_t P = 0; P != Points.size(); ++P) {
+    EXPECT_EQ(Cold.point("exp", P), Oracle[P]) << "cold point " << P;
+    EXPECT_EQ(Warm.point("exp", P), Oracle[P]) << "warm point " << P;
   }
 }
 
@@ -580,12 +598,13 @@ TEST(TraceStoreEngine, FallsBackToLiveOnCorruptFile) {
     EXPECT_EQ(Warm.point("exp", P), Cold.point("exp", P)) << P;
 }
 
-/// Regression for the observability contract: a warm, auto-sharded run
+/// Regression for the observability contract: a warm point-parallel run
 /// must still light up the sim.store.* counters (hits, bytes read) and
-/// the sim.shard.* counters (replays, units) — a refactor that serves
-/// the store without metering, or shards without counting, silently
-/// blinds the benches and the metrics time series.
-TEST(TraceStoreEngine, WarmAutoShardedRunKeepsStoreAndShardCounters) {
+/// the sim.replay.* group telemetry (workers, points per worker,
+/// imbalance) — a refactor that serves the store without metering, or
+/// fans replay out without counting, silently blinds the benches and the
+/// metrics time series.
+TEST(TraceStoreEngine, WarmRunKeepsStoreAndReplayCounters) {
   struct Guard {
     Guard() {
       telemetry::setEnabled(true);
@@ -621,11 +640,10 @@ TEST(TraceStoreEngine, WarmAutoShardedRunKeepsStoreAndShardCounters) {
   EXPECT_GT(counter("sim.store.bytes-written"), 0u);
 
   telemetry::reset();
-  // An explicit pool: --shards=auto resolves to the pool width, which
-  // must exceed 1 for set sharding to engage even on a 1-core host.
+  // An explicit pool: the point groups number at most the pool width,
+  // which must exceed 1 for replay to fan out even on a 1-core host.
   ThreadPool Pool(4);
   SweepEngine Warm(&Pool);
-  Warm.setShards(0); // auto
   Warm.setTraceStore(Dir.str());
   Warm.schedule("exp", "g", Base, Points, Queen.producer(), Hash);
   Warm.run();
@@ -635,9 +653,18 @@ TEST(TraceStoreEngine, WarmAutoShardedRunKeepsStoreAndShardCounters) {
   EXPECT_GT(counter("sim.store.hits"), 0u);
   EXPECT_GT(counter("sim.store.bytes-read"), 0u);
   EXPECT_EQ(counter("sim.store.misses"), 0u);
-  EXPECT_GT(counter("sim.shard.replays"), 0u);
-  EXPECT_GT(counter("sim.shard.units"), 0u);
-  EXPECT_GT(counter("sim.shard.shards"), 0u);
+  EXPECT_GT(counter("sim.replay.workers"), 1u);
+  auto histCount = [](const char *Name) -> uint64_t {
+    std::string JSON = telemetry::snapshotJSON();
+    std::string Key = std::string("\"") + Name + "\": {\"count\": ";
+    size_t At = JSON.find(Key);
+    if (At == std::string::npos)
+      return 0;
+    return std::strtoull(JSON.c_str() + At + Key.size(), nullptr, 10);
+  };
+  EXPECT_EQ(histCount("sim.replay.points-per-worker"),
+            counter("sim.replay.workers"));
+  EXPECT_GT(histCount("sim.replay.imbalance"), 0u);
 }
 
 TEST(TraceStoreEngine, ZeroHashOptsOut) {

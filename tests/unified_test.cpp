@@ -89,10 +89,12 @@ TEST(Unified, BypassOnlyUnambiguous) {
   Prepared P(MixedProgram);
   applyUnifiedManagement(*P.Module.IR, UnifiedOptions::unified());
   for (const Instruction *I : memRefs(*P.Module.IR)) {
-    if (I->MemInfo.Bypass)
+    if (I->MemInfo.Bypass) {
       EXPECT_EQ(I->MemInfo.Class, RefClass::Unambiguous);
-    if (I->MemInfo.Class == RefClass::Ambiguous)
+    }
+    if (I->MemInfo.Class == RefClass::Ambiguous) {
       EXPECT_FALSE(I->MemInfo.Bypass);
+    }
   }
 }
 
@@ -121,8 +123,9 @@ void main() {
   EXPECT_GT(S.SpillRefs, 0u);
   for (const Instruction *I : memRefs(*Module.IR))
     if (I->MemInfo.Class == RefClass::Spill ||
-        I->MemInfo.Class == RefClass::SpillReload)
+        I->MemInfo.Class == RefClass::SpillReload) {
       EXPECT_FALSE(I->MemInfo.Bypass);
+    }
 }
 
 TEST(Unified, DeadTagOnlySetsNoBypass) {
@@ -162,9 +165,10 @@ void main() {
   ASSERT_NE(Tick, nullptr);
   for (const auto &B : Tick->blocks())
     for (const Instruction &I : B->insts())
-      if (I.isMemAccess())
+      if (I.isMemAccess()) {
         EXPECT_FALSE(I.MemInfo.Bypass)
             << "hot counter must stay cache-managed under ReuseAware";
+      }
 
   // The blind policy bypasses it.
   Prepared P2(HotGlobal);

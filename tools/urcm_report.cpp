@@ -53,6 +53,9 @@ void line(const char *Fmt, ...) {
   std::fputc('\n', Out);
 }
 
+/// An empty report line.
+void blankLine() { std::fputc('\n', Out); }
+
 CacheConfig paperCache() {
   CacheConfig C;
   C.NumLines = 128;
@@ -214,8 +217,8 @@ bool writeFile(const std::string &Path, const std::string &Contents) {
 /// conventional counters replay it with the hints stripped) plus the
 /// era-baseline and complete-unified system runs. Counters are
 /// bit-identical to running each scheme live (tests/sweepengine_test),
-/// \p Shards spreads each replay across the pool without changing a
-/// single bit (tests/shardedreplay_test), and \p StoreDir serves every
+/// the engine spreads each workload's replay points across the pool
+/// without changing a single bit, and \p StoreDir serves every
 /// experiment from persisted traces when warm (byte-identical output,
 /// asserted by scripts/check.sh --store).
 ///
@@ -223,16 +226,14 @@ bool writeFile(const std::string &Path, const std::string &Contents) {
 /// every workload additionally accumulates per-reference attribution,
 /// and one profile JSON per workload (docs/profile_schema.json) lands
 /// at `<ProfileDir>/<workload>.json` — served by the same replay that
-/// produces the tables, at any shard count, cold or warm.
-std::vector<WorkloadData> computeAll(uint32_t Shards,
-                                     const std::string &StoreDir,
+/// produces the tables, cold or warm.
+std::vector<WorkloadData> computeAll(const std::string &StoreDir,
                                      const std::string &ProfileDir) {
   const std::vector<Workload> &Workloads = paperWorkloads();
   std::vector<WorkloadData> Data(Workloads.size());
   std::vector<Prepared> Programs = compileAll(Data);
 
   SweepEngine Engine;
-  Engine.setShards(Shards);
   DiagnosticEngine StoreDiags;
   if (!StoreDir.empty())
     Engine.setTraceStore(StoreDir, &StoreDiags);
@@ -316,14 +317,8 @@ void usage(std::FILE *To) {
   std::fprintf(To,
                "usage: urcm_report [output.md] [--telemetry] "
                "[--telemetry-json=FILE] [--trace-out=FILE]\n"
-               "                   [--shards=N|auto] "
-               "[--trace-store=DIR]\n"
+               "                   [--trace-store=DIR]\n"
                "       urcm_report --help | --version\n"
-               "  --shards=N|auto    replay each workload's trace with "
-               "N-way set sharding\n"
-               "                     (auto = thread-pool width; output "
-               "is bit-identical\n"
-               "                     for every value; default 1)\n"
                "  --trace-store=DIR  persist recorded traces under DIR "
                "and serve repeat\n"
                "                     runs from them (skips "
@@ -351,7 +346,6 @@ int main(int argc, char **argv) {
   std::string OutputFile, TraceOut, TelemetryJson, TraceStoreDir;
   std::string ProfileDir, MetricsOut;
   bool TelemetrySummary = false;
-  uint32_t Shards = 1;
   uint32_t MetricsIntervalMs = 200;
   for (int A = 1; A != argc; ++A) {
     std::string Arg = argv[A];
@@ -404,23 +398,6 @@ int main(int argc, char **argv) {
                      "error: --trace-store expects a directory\n");
         return 2;
       }
-    } else if (Arg.rfind("--shards=", 0) == 0) {
-      std::string Value = Arg.substr(9);
-      if (Value == "auto") {
-        Shards = 0; // Resolved to the pool width by the engine.
-      } else {
-        char *End = nullptr;
-        unsigned long Parsed = std::strtoul(Value.c_str(), &End, 10);
-        if (Value.empty() || *End != '\0' || Parsed == 0 ||
-            Parsed > 1u << 20) {
-          std::fprintf(stderr,
-                       "error: --shards expects a positive count or "
-                       "'auto', got '%s'\n",
-                       Value.c_str());
-          return 2;
-        }
-        Shards = static_cast<uint32_t>(Parsed);
-      }
     } else if (Arg.rfind("-", 0) == 0) {
       std::fprintf(stderr, "error: unknown flag '%s'\n", Arg.c_str());
       usage(stderr);
@@ -454,18 +431,18 @@ int main(int argc, char **argv) {
   }
 
   std::vector<WorkloadData> Data =
-      computeAll(Shards, TraceStoreDir, ProfileDir);
+      computeAll(TraceStoreDir, ProfileDir);
 
   line("# URCM reproduction report");
-  line("");
+  blankLine();
   line("Chi & Dietz, *Unified Management of Registers and Cache Using "
        "Liveness and Cache Bypass*, PLDI 1989.");
   line("Configuration: era compiler, 128-line 2-way LRU data cache, "
        "1-word lines.");
-  line("");
+  blankLine();
 
   line("## Figure 5 — data-cache traffic reduction (paper: ~60%% mean)");
-  line("");
+  blankLine();
   line("| bench | conventional | unified | reduction | dynamic "
        "unambiguous |");
   line("|---|---|---|---|---|");
@@ -483,10 +460,10 @@ int main(int argc, char **argv) {
   }
   line("| **mean** | | | **%.1f%%** | |",
        Sum / paperWorkloads().size());
-  line("");
+  blankLine();
 
   line("## Static classification (paper: 70-80%% unambiguous)");
-  line("");
+  blankLine();
   line("| bench | static unambiguous | refs |");
   line("|---|---|---|");
   for (size_t I = 0; I != paperWorkloads().size(); ++I) {
@@ -496,11 +473,11 @@ int main(int argc, char **argv) {
          C.StaticStats.unambiguousFraction() * 100.0,
          static_cast<unsigned long long>(C.StaticStats.totalRefs()));
   }
-  line("");
+  blankLine();
 
   line("## Memory-access time (mem word = 10 cycles; paper section 4.4 "
        "claims \"factors of 2 or more\")");
-  line("");
+  blankLine();
   line("| bench | era baseline (cycles) | complete unified (cycles) | "
        "speedup |");
   line("|---|---|---|---|");
@@ -521,10 +498,10 @@ int main(int argc, char **argv) {
   }
   line("| **geomean** | | | **%.2fx** |",
        std::pow(Product, 1.0 / paperWorkloads().size()));
-  line("");
+  blankLine();
 
   line("## Replacement-policy grid — unified cache-traffic reduction");
-  line("");
+  blankLine();
   line("Every column replays the same recorded trace under a different "
        "replacement policy (128-line 2-way cache); cells are the "
        "hinted-vs-stripped cache-traffic reduction, i.e. what the "
@@ -532,7 +509,7 @@ int main(int argc, char **argv) {
        "LivenessBypass is the hardware predictor that learns "
        "dead-on-arrival references at runtime — the closest "
        "hardware-only stand-in for the paper's compiler hints.");
-  line("");
+  blankLine();
   {
     std::string Header = "| bench |", Rule = "|---|";
     for (size_t P = 0; P != NumReportPolicies; ++P) {
@@ -558,15 +535,15 @@ int main(int argc, char **argv) {
     }
     line("%s", Row.c_str());
   }
-  line("");
+  blankLine();
 
   line("## Bypass vs RRIP — hint-free bus traffic by policy");
-  line("");
+  blankLine();
   line("The hint-stripped replay isolates what the replacement policy "
        "achieves on its own: compare SRRIP's re-reference intervals "
        "against the LivenessBypass predictor (and both against plain "
        "LRU) with no compiler involvement.");
-  line("");
+  blankLine();
   {
     std::string Header = "| bench |", Rule = "|---|";
     for (size_t P = 0; P != NumReportPolicies; ++P) {
@@ -589,10 +566,10 @@ int main(int argc, char **argv) {
     }
     line("%s", Row.c_str());
   }
-  line("");
+  blankLine();
 
   line("## Sanity");
-  line("");
+  blankLine();
   line("All schemes produced identical program outputs with zero "
        "coherence violations (checked per run above).");
   if (Out != stdout)

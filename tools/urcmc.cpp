@@ -94,8 +94,6 @@ struct CliOptions {
   /// --sweep).
   CachePolicy Policy = CachePolicy::LRU;
   bool PolicySet = false;
-  /// Intra-trace replay sharding for --sweep: 1 sequential, 0 auto.
-  uint32_t Shards = 1;
   /// Persistent trace store directory for --sweep (empty = off).
   std::string TraceStoreDir;
   std::string TraceOut;
@@ -156,10 +154,6 @@ void usage(std::FILE *Out) {
       "of\n"
       "                       the given line counts (hinted and "
       "conventional)\n"
-      "  --shards=N|auto      parallelize each sweep replay N ways "
-      "(auto =\n"
-      "                       thread-pool width; results bit-identical; "
-      "default 1)\n"
       "  --trace-store=DIR    persist recorded traces under DIR and "
       "serve\n"
       "                       repeat sweeps from them (skips "
@@ -314,18 +308,6 @@ bool parseFlag(CliOptions &Cli, const std::string &Arg) {
     }
     return !Cli.SweepSizes.empty();
   }
-  if (const char *V = Value("--shards=")) {
-    if (std::strcmp(V, "auto") == 0) {
-      Cli.Shards = 0; // Resolved to the pool width by the engine.
-      return true;
-    }
-    char *End = nullptr;
-    long N = std::strtol(V, &End, 10);
-    if (End == V || *End != '\0' || N <= 0 || N > (1 << 20))
-      return false;
-    Cli.Shards = static_cast<uint32_t>(N);
-    return true;
-  }
   if (const char *V = Value("--trace-store=")) {
     Cli.TraceStoreDir = V;
     return !Cli.TraceStoreDir.empty();
@@ -447,7 +429,6 @@ int runSweep(const CliOptions &Cli, const MachineProgram &Program) {
   }
 
   SweepEngine Engine;
-  Engine.setShards(Cli.Shards);
   DiagnosticEngine StoreDiags;
   uint64_t Hash = 0;
   if (!Cli.TraceStoreDir.empty()) {
