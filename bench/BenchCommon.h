@@ -53,7 +53,7 @@ inline CacheConfig paperCache() {
   C.NumLines = 128;
   C.Assoc = 2;
   C.LineWords = 1;
-  C.Policy = ReplacementPolicy::LRU;
+  C.Policy = CachePolicy::LRU;
   return C;
 }
 

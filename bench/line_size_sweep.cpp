@@ -41,7 +41,7 @@ std::vector<SweepPoint> grid() {
     // Hold capacity constant in *words*: fewer lines when lines are
     // wider.
     Cache.NumLines = std::max(2u, 128u / LineWords);
-    G.push_back({Cache, TracePolicy::LRU, /*IgnoreHints=*/false});
+    G.push_back({Cache, CachePolicy::LRU, /*IgnoreHints=*/false});
   }
   return G;
 }

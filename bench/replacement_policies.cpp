@@ -14,28 +14,28 @@
 
 #include "BenchCommon.h"
 
-#include "urcm/sim/TraceSim.h"
+#include "urcm/sim/CacheModel.h"
 
 using namespace urcm;
 using namespace urcm::bench;
 
 namespace {
 
-const std::vector<TracePolicy> &policies() {
-  static const std::vector<TracePolicy> P = {
-      TracePolicy::LRU, TracePolicy::FIFO, TracePolicy::Random,
-      TracePolicy::MIN};
+const std::vector<CachePolicy> &policies() {
+  static const std::vector<CachePolicy> P = {
+      CachePolicy::LRU, CachePolicy::FIFO, CachePolicy::Random,
+      CachePolicy::MIN};
   return P;
 }
 
 std::vector<SweepPoint> grid() {
   std::vector<SweepPoint> G;
-  for (TracePolicy P : policies())
+  for (CachePolicy P : policies())
     G.push_back({paperCache(), P, /*IgnoreHints=*/false});
   return G;
 }
 
-size_t policyIndex(TracePolicy Policy) {
+size_t policyIndex(CachePolicy Policy) {
   for (size_t I = 0; I != policies().size(); ++I)
     if (policies()[I] == Policy)
       return I;
@@ -43,7 +43,7 @@ size_t policyIndex(TracePolicy Policy) {
 }
 
 CacheStats replayed(const std::string &Name, bool Unified,
-                    TracePolicy Policy) {
+                    CachePolicy Policy) {
   size_t I = policyIndex(Policy);
   return Unified
              ? pairUnifiedStats(Name, figure5Compile(), I)
@@ -52,7 +52,7 @@ CacheStats replayed(const std::string &Name, bool Unified,
 }
 
 void rowFor(benchmark::State &State, const std::string &Name,
-            bool Unified, TracePolicy Policy) {
+            bool Unified, CachePolicy Policy) {
   for (auto _ : State)
     benchmark::DoNotOptimize(replayed(Name, Unified, Policy));
   CacheStats S = replayed(Name, Unified, Policy);
@@ -67,14 +67,14 @@ void summary() {
   std::printf("\nReplacement policies x schemes (misses; trace replay, "
               "128-line 2-way)\n");
   std::printf("%-8s %10s |", "bench", "scheme");
-  for (TracePolicy P : policies())
+  for (CachePolicy P : policies())
     std::printf(" %10s", cachePolicyName(P));
   std::printf("\n");
   for (const std::string &Name : workloadNames()) {
     for (bool Unified : {false, true}) {
       std::printf("%-8s %10s |", Name.c_str(),
                   Unified ? "unified" : "conv");
-      for (TracePolicy P : policies())
+      for (CachePolicy P : policies())
         std::printf(" %10llu",
                     static_cast<unsigned long long>(
                         replayed(Name, Unified, P).misses()));
@@ -93,7 +93,7 @@ int main(int argc, char **argv) {
   engine().run();
   for (const std::string &Name : workloadNames())
     for (bool Unified : {false, true})
-      for (TracePolicy Policy : policies()) {
+      for (CachePolicy Policy : policies()) {
         std::string Label = "Policies/" + Name + "/" +
                             (Unified ? "unified/" : "conv/") +
                             cachePolicyName(Policy);

@@ -2,34 +2,20 @@
 //
 // Part of the URCM project (Chi & Dietz, PLDI 1989 reproduction).
 //
-// Measures what superinstruction fusion (fusePredecoded,
-// urcm/sim/Predecode.h) buys on the cold path the store cannot serve:
-// generating the data-reference trace of the six paper workloads by
-// functional simulation, streamed through a sink exactly as a cold
-// sweep does. Each workload is predecoded once, executed unfused (the
-// --no-fuse baseline: same binary, fusion pass simply not run) and
-// fused, interleaved and best-of-N per mode so the two timings see the
-// same machine state.
+// Times the cold path the trace store cannot serve: generating the
+// data-reference trace of the six paper workloads by functional
+// simulation on the predecoded engine, streamed through a sink exactly
+// as a cold sweep does. Each workload is predecoded once and run
+// best-of-5 (process CPU time).
 //
-// Two invariants are asserted before any timing is trusted:
+// Before any timing is trusted, the predecoded run's SimResult and its
+// streamed TraceEvent sequence (FNV-1a over the raw 8-byte events,
+// order-sensitive) must be bit-identical to the legacy switch
+// engine's: a fast path that changed the trace would be timing a
+// different experiment.
 //
-//  * the fused run's SimResult and its streamed TraceEvent sequence
-//    (FNV-1a over the raw 8-byte events, order-sensitive) are
-//    bit-identical to the unfused run's — fusion that changed the
-//    trace would be measuring a different experiment;
-//  * the fusion pass actually rewrote heads (static fused count > 0),
-//    otherwise "fused" timings would silently be a second baseline.
-//
-// Rows carry trace_events, the static fusion counts, per-mode ms and
-// speedup_vs_nofuse; the recap prints the geometric-mean speedup
-// against the ISSUE target (>= 1.3x cold six-workload trace
-// generation). Context for reading it (DESIGN.md par. 17): fusion
-// eliminates ~35% of dispatches, but on this run-boundary-hoisted
-// computed-goto interpreter with the cursor-staged trace recorder the
-// per-dispatch cost is small, so the honest expectation on a 1-core
-// host is parity-to-small-gain, not the headline ratio — the recorder
-// rewrite that came out of this work is where the cold path's absolute
-// time dropped (both modes benefit equally).
+// Rows carry trace_events, ms and ns_per_event; the recap prints the
+// same per workload.
 //
 //===----------------------------------------------------------------------===//
 
@@ -37,7 +23,6 @@
 
 #include "urcm/sim/Predecode.h"
 
-#include <cmath>
 #include <cstring>
 #include <ctime>
 
@@ -73,16 +58,14 @@ struct ModeRun {
 
 struct Measurement {
   uint64_t TraceEvents = 0;
-  uint32_t FuseCandidates = 0;
-  uint32_t FuseFused = 0;
-  double FusedMs = 0;
-  double UnfusedMs = 0;
+  double Ms = 0;
+  double nsPerEvent() const {
+    return TraceEvents ? Ms * 1e6 / static_cast<double>(TraceEvents) : 0.0;
+  }
 };
 
-/// Process CPU time, not wall time: the 1-core CI container time-slices
-/// against other processes and wall-clock A/Bs at the few-percent level
-/// drown in that noise; CPU time of the same binary is stable enough to
-/// compare interleaved repetitions.
+/// Process CPU time, not wall time: other tenants time-slice the host,
+/// and CPU time of one run is stable enough to take a best-of-N.
 double onceMs(const std::function<void()> &Fn) {
   timespec T0, T1;
   clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &T0);
@@ -92,9 +75,9 @@ double onceMs(const std::function<void()> &Fn) {
          (static_cast<double>(T1.tv_nsec - T0.tv_nsec) * 1e-6);
 }
 
-void expectIdentical(const std::string &Name, const ModeRun &Fused,
-                     const ModeRun &Unfused) {
-  const SimResult &A = Fused.Result, &B = Unfused.Result;
+void expectIdentical(const std::string &Name, const ModeRun &Fast,
+                     const ModeRun &Oracle) {
+  const SimResult &A = Fast.Result, &B = Oracle.Result;
   const bool Same =
       A.Halted == B.Halted && A.Error == B.Error && A.Steps == B.Steps &&
       A.Output == B.Output && A.Cache == B.Cache &&
@@ -106,12 +89,12 @@ void expectIdentical(const std::string &Name, const ModeRun &Fused,
       A.InstructionFetches == B.InstructionFetches &&
       A.BypassTransitions == B.BypassTransitions &&
       A.CoherenceViolations == B.CoherenceViolations &&
-      Fused.TraceHash == Unfused.TraceHash &&
-      Fused.TraceEvents == Unfused.TraceEvents;
+      Fast.TraceHash == Oracle.TraceHash &&
+      Fast.TraceEvents == Oracle.TraceEvents;
   if (!Same) {
     std::fprintf(stderr,
-                 "%s: fused run diverged from unfused baseline; timings "
-                 "would compare different experiments\n",
+                 "%s: predecoded run diverged from the switch engine; "
+                 "timings would measure a different experiment\n",
                  Name.c_str());
     std::abort();
   }
@@ -134,52 +117,41 @@ Measurement &measurement(const std::string &Name) {
     std::abort();
   }
 
-  PredecodedProgram Unfused = predecode(R.Program);
-  PredecodedProgram Fused = predecode(R.Program);
-  const FusionStats Stats = fusePredecoded(Fused);
-  if (Stats.Fused == 0) {
-    std::fprintf(stderr, "%s: fusion rewrote nothing; the 'fused' mode "
-                 "would be a second baseline\n",
-                 Name.c_str());
-    std::abort();
-  }
-
-  auto coldRun = [&](const PredecodedProgram &PP) {
-    ModeRun Run;
+  auto coldRun = [&](auto Run) {
+    ModeRun Out;
     HashSink Sink;
     SimConfig Sim;
     Sim.Cache = paperCache();
     Sim.Sink = &Sink;
-    Simulator S(Sim);
-    Run.Result = S.run(PP);
-    if (!Run.Result.ok()) {
+    Out.Result = Run(Sim);
+    if (!Out.Result.ok()) {
       std::fprintf(stderr, "%s: %s\n", Name.c_str(),
-                   Run.Result.Error.c_str());
+                   Out.Result.Error.c_str());
       std::abort();
     }
-    Run.TraceHash = Sink.Hash;
-    Run.TraceEvents = Sink.Events;
-    return Run;
+    Out.TraceHash = Sink.Hash;
+    Out.TraceEvents = Sink.Events;
+    return Out;
+  };
+  const PredecodedProgram PP = predecode(R.Program);
+  auto predecoded = [&](const SimConfig &Sim) {
+    return Simulator(Sim).run(PP);
+  };
+  auto legacySwitch = [&](SimConfig Sim) {
+    Sim.Engine = SimEngine::Switch;
+    return Simulator(Sim).run(R.Program);
   };
 
-  // Correctness before timing: the two modes must be the same
-  // experiment, bit for bit, down to the streamed event sequence.
-  ModeRun FusedRun = coldRun(Fused);
-  ModeRun UnfusedRun = coldRun(Unfused);
-  expectIdentical(Name, FusedRun, UnfusedRun);
+  // Correctness before timing: the timed engine must run the same
+  // experiment as the oracle, bit for bit, down to the streamed events.
+  const ModeRun Fast = coldRun(predecoded);
+  expectIdentical(Name, Fast, coldRun(legacySwitch));
 
   Measurement Out;
-  Out.TraceEvents = FusedRun.TraceEvents;
-  Out.FuseCandidates = Stats.Candidates;
-  Out.FuseFused = Stats.Fused;
-  // Interleaved best-of-5 so both modes sample the same machine state.
-  Out.FusedMs = 1e300;
-  Out.UnfusedMs = 1e300;
-  for (int Rep = 0; Rep != 5; ++Rep) {
-    Out.UnfusedMs =
-        std::min(Out.UnfusedMs, onceMs([&] { coldRun(Unfused); }));
-    Out.FusedMs = std::min(Out.FusedMs, onceMs([&] { coldRun(Fused); }));
-  }
+  Out.TraceEvents = Fast.TraceEvents;
+  Out.Ms = 1e300;
+  for (int Rep = 0; Rep != 5; ++Rep)
+    Out.Ms = std::min(Out.Ms, onceMs([&] { coldRun(predecoded); }));
   return Cache.emplace(Name, std::move(Out)).first->second;
 }
 
@@ -190,37 +162,23 @@ void rowFor(benchmark::State &State, const std::string &Name) {
   }
   Measurement &M = measurement(Name);
   State.counters["trace_events"] = static_cast<double>(M.TraceEvents);
-  State.counters["fuse_candidates"] = static_cast<double>(M.FuseCandidates);
-  State.counters["fuse_fused"] = static_cast<double>(M.FuseFused);
-  State.counters["fused_ms"] = M.FusedMs;
-  State.counters["unfused_ms"] = M.UnfusedMs;
-  State.counters["speedup_vs_nofuse"] = M.UnfusedMs / M.FusedMs;
+  State.counters["ms"] = M.Ms;
+  State.counters["ns_per_event"] = M.nsPerEvent();
 }
 
 void summary() {
-  std::printf("\nCold trace generation: streamed functional simulation, "
-              "fused vs unfused predecode (best of 5 CPU-time, "
-              "interleaved)\n");
-  std::printf("%-8s %10s %7s %7s %10s %10s %8s\n", "bench", "events",
-              "cands", "fused", "nofuse-ms", "fused-ms", "speedup");
-  double LogSum = 0;
-  size_t N = 0;
+  std::printf("\nCold trace generation: streamed functional simulation on "
+              "the predecoded engine (best of 5 CPU-time; results and "
+              "streamed traces verified bit-identical to the switch "
+              "engine)\n");
+  std::printf("%-8s %10s %10s %9s\n", "bench", "events", "ms", "ns/event");
   for (const std::string &Name : workloadNames()) {
     Measurement &M = measurement(Name);
-    const double Speedup = M.UnfusedMs / M.FusedMs;
-    LogSum += std::log(Speedup);
-    ++N;
-    std::printf("%-8s %10llu %7u %7u %10.1f %10.1f %7.2fx\n", Name.c_str(),
-                static_cast<unsigned long long>(M.TraceEvents),
-                M.FuseCandidates, M.FuseFused, M.UnfusedMs, M.FusedMs,
-                Speedup);
+    std::printf("%-8s %10llu %10.1f %9.2f\n", Name.c_str(),
+                static_cast<unsigned long long>(M.TraceEvents), M.Ms,
+                M.nsPerEvent());
   }
-  std::printf("geomean speedup: %.2fx (ISSUE target: >= 1.30x; fused "
-              "results + streamed traces verified bit-identical to the "
-              "unfused baseline)\n",
-              N ? std::exp(LogSum / static_cast<double>(N)) : 0.0);
 }
-
 } // namespace
 
 int main(int argc, char **argv) {

@@ -44,8 +44,8 @@ std::vector<SweepPoint> grid() {
   for (uint32_t Lines : {32u, 64u, 128u, 256u, 512u}) {
     CacheConfig C = paperCache();
     C.NumLines = Lines;
-    G.push_back({C, TracePolicy::LRU, /*IgnoreHints=*/false});
-    G.push_back({C, TracePolicy::LRU, /*IgnoreHints=*/true});
+    G.push_back({C, CachePolicy::LRU, /*IgnoreHints=*/false});
+    G.push_back({C, CachePolicy::LRU, /*IgnoreHints=*/true});
   }
   return G;
 }

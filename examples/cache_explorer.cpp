@@ -12,7 +12,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "urcm/driver/Driver.h"
-#include "urcm/sim/TraceSim.h"
+#include "urcm/sim/CacheModel.h"
 #include "urcm/workloads/Workloads.h"
 
 #include <cstdio>
@@ -46,8 +46,8 @@ int main() {
   std::vector<TraceEvent> Uni = record(/*Unified=*/true);
   std::printf("trace: %zu data references\n\n", Conv.size());
 
-  const TracePolicy Policies[] = {TracePolicy::LRU, TracePolicy::FIFO,
-                                  TracePolicy::Random, TracePolicy::MIN};
+  const CachePolicy Policies[] = {CachePolicy::LRU, CachePolicy::FIFO,
+                                  CachePolicy::Random, CachePolicy::MIN};
 
   std::printf("--- geometry sweep (LRU): misses conv/unified ---\n");
   std::printf("%10s %6s %14s %14s\n", "lines", "assoc", "conventional",
@@ -59,8 +59,8 @@ int main() {
       CacheConfig C;
       C.NumLines = Lines;
       C.Assoc = Assoc;
-      CacheStats SConv = replayTrace(Conv, C, TracePolicy::LRU);
-      CacheStats SUni = replayTrace(Uni, C, TracePolicy::LRU);
+      CacheStats SConv = replayTrace(Conv, C, CachePolicy::LRU);
+      CacheStats SUni = replayTrace(Uni, C, CachePolicy::LRU);
       std::printf("%10u %6u %14llu %14llu\n", Lines, Assoc,
                   static_cast<unsigned long long>(SConv.misses()),
                   static_cast<unsigned long long>(SUni.misses()));
@@ -73,7 +73,7 @@ int main() {
   CacheConfig C;
   C.NumLines = 128;
   C.Assoc = 2;
-  for (TracePolicy P : Policies) {
+  for (CachePolicy P : Policies) {
     CacheStats SConv = replayTrace(Conv, C, P);
     CacheStats SUni = replayTrace(Uni, C, P);
     std::printf("%8s %16llu %16llu %16llu\n", cachePolicyName(P),
@@ -83,8 +83,8 @@ int main() {
   }
 
   std::printf("\n--- the paper's headline, on this trace ---\n");
-  CacheStats SConv = replayTrace(Conv, C, TracePolicy::LRU);
-  CacheStats SUni = replayTrace(Uni, C, TracePolicy::LRU);
+  CacheStats SConv = replayTrace(Conv, C, CachePolicy::LRU);
+  CacheStats SUni = replayTrace(Uni, C, CachePolicy::LRU);
   double Reduction =
       100.0 *
       (static_cast<double>(SConv.cacheTraffic()) -

@@ -46,7 +46,7 @@ int main() {
   Cache.NumLines = 64;
   Cache.Assoc = 2;
   Cache.LineWords = 1;
-  Cache.Policy = ReplacementPolicy::LRU;
+  Cache.Policy = CachePolicy::LRU;
 
   SchemeComparison Cmp = compareSchemes(DemoProgram, Options, Cache);
   if (!Cmp.ok()) {

@@ -103,10 +103,6 @@ ClassificationStats applyUnifiedManagement(IRModule &M,
                                            const UnifiedOptions &Options,
                                            AnalysisManager &AM);
 
-/// Standalone form over a private analysis cache.
-ClassificationStats applyUnifiedManagement(IRModule &M,
-                                           const UnifiedOptions &Options);
-
 } // namespace urcm
 
 #endif // URCM_CORE_UNIFIEDMANAGEMENT_H

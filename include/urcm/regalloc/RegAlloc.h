@@ -70,11 +70,6 @@ RegAllocStats allocateRegisters(IRModule &M, IRFunction &F,
 RegAllocStats allocateRegisters(IRModule &M, const RegAllocOptions &Options,
                                 AnalysisManager &AM);
 
-/// Standalone forms that run over a private analysis cache.
-RegAllocStats allocateRegisters(IRModule &M, IRFunction &F,
-                                const RegAllocOptions &Options);
-RegAllocStats allocateRegisters(IRModule &M, const RegAllocOptions &Options);
-
 } // namespace urcm
 
 #endif // URCM_REGALLOC_REGALLOC_H

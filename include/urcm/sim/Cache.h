@@ -42,13 +42,6 @@
 
 namespace urcm {
 
-/// Historical name for the live cache's policy enum; now the unified
-/// CachePolicy (urcm/sim/CachePolicy.h). The live DataCache accepts
-/// every cachePolicyLiveEligible() member — LRU, FIFO, Random,
-/// TreePLRU and SRRIP; MIN and LivenessBypass are replay-only
-/// (urcm/sim/CacheModel.h).
-using ReplacementPolicy = CachePolicy;
-
 /// Write policies. The paper's write-back model is the default; a
 /// write-through/no-allocate option is provided as an ablation — under
 /// write-through the dead bit can still free lines early but has no
@@ -65,7 +58,10 @@ struct CacheConfig {
   uint32_t Assoc = 2;
   /// Words per line; the paper assumes 1.
   uint32_t LineWords = 1;
-  ReplacementPolicy Policy = ReplacementPolicy::LRU;
+  /// The live DataCache accepts every cachePolicyLiveEligible() member
+  /// (LRU, FIFO, Random, TreePLRU, SRRIP); MIN and LivenessBypass are
+  /// replay-only (urcm/sim/CacheModel.h).
+  CachePolicy Policy = CachePolicy::LRU;
   WritePolicy Write = WritePolicy::WriteBack;
   /// Seed for the Random policy.
   uint64_t Seed = 0x5eed;
@@ -490,7 +486,7 @@ public:
   /// True if \p C is a configuration this cache reproduces exactly.
   static bool eligible(const CacheConfig &C) {
     return C.Write == WritePolicy::WriteBack &&
-           C.Policy == ReplacementPolicy::LRU && C.LineWords == 1 &&
+           C.Policy == CachePolicy::LRU && C.LineWords == 1 &&
            C.Assoc == 2 && C.NumLines >= 2 &&
            (C.NumLines & (C.NumLines - 1)) == 0;
   }

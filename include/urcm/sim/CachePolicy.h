@@ -8,10 +8,7 @@
 /// The single replacement-policy vocabulary shared by every cache model
 /// in the tree: the live DataCache, the specialized two-way fast caches,
 /// the policy-generic replay kernel (urcm/sim/CacheModel.h) and the
-/// sweep engine's sharded/stack-distance streams. Historically the live
-/// cache had its own three-policy `ReplacementPolicy` and the replayer a
-/// four-policy `TracePolicy` with a lossy translation between them; both
-/// are now aliases of `CachePolicy` below and the translation is gone.
+/// sweep engine's sharded/stack-distance streams.
 ///
 /// The policy families (paper section 3.2 argues dead-line freeing is
 /// compatible with any of them):

@@ -105,14 +105,6 @@ struct SimConfig {
   CacheConfig Cache;
   uint64_t MaxSteps = 2000000000ull;
   SimEngine Engine = SimEngine::Predecoded;
-  /// Superinstruction fusion for the predecoded engine (fusePredecoded,
-  /// urcm/sim/Predecode.h): fused runs produce bit-identical SimResults
-  /// and TraceEvent streams, so like Engine this is an observer of the
-  /// trace, not an input to it, and is deliberately excluded from
-  /// traceContentHash — warm stores recorded fused serve unfused
-  /// consumers and vice versa. URCM_NO_FUSE=1 in the environment
-  /// disables fusion globally regardless of this flag.
-  bool Fusion = true;
   /// Check every delivered load value against the shadow memory.
   bool Paranoid = true;
   /// Record the data-reference trace for later replay.
@@ -136,7 +128,7 @@ struct SimConfig {
   /// indexes; multi-word lines capture sequential fetch locality.
   bool ModelICache = false;
   CacheConfig ICache = {/*NumLines=*/64, /*Assoc=*/2, /*LineWords=*/4,
-                        ReplacementPolicy::LRU, WritePolicy::WriteBack,
+                        CachePolicy::LRU, WritePolicy::WriteBack,
                         /*Seed=*/0x1ce};
   /// When set, the data cache accumulates per-static-reference
   /// attribution (urcm/sim/RefAttribution.h) into this table (not

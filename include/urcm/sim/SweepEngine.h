@@ -43,7 +43,7 @@
 #define URCM_SIM_SWEEPENGINE_H
 
 #include "urcm/sim/RefAttribution.h"
-#include "urcm/sim/TraceSim.h"
+#include "urcm/sim/CacheModel.h"
 #include "urcm/support/ThreadPool.h"
 
 #include <functional>
@@ -135,7 +135,7 @@ public:
   /// backwards, so they require batch mode (\p FullTrace).
   static bool streamable(const std::vector<SweepPoint> &Points);
 
-  /// \p FullTrace must be non-null when any point uses TracePolicy::MIN
+  /// \p FullTrace must be non-null when any point uses CachePolicy::MIN
   /// and is ignored otherwise.
   explicit SweepPointStream(std::vector<SweepPoint> Points,
                             const std::vector<TraceEvent> *FullTrace =

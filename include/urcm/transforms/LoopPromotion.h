@@ -53,10 +53,6 @@ LoopPromotionStats promoteLoopScalars(IRModule &M, IRFunction &F,
 /// Module-wide form over a shared analysis cache.
 LoopPromotionStats promoteLoopScalars(IRModule &M, AnalysisManager &AM);
 
-/// Standalone forms that run over a private analysis cache.
-LoopPromotionStats promoteLoopScalars(IRModule &M, IRFunction &F);
-LoopPromotionStats promoteLoopScalars(IRModule &M);
-
 } // namespace urcm
 
 #endif // URCM_TRANSFORMS_LOOPPROMOTION_H

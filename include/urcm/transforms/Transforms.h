@@ -84,10 +84,6 @@ TransformStats runCleanupPipeline(IRModule &M,
                                   const TransformOptions &Options,
                                   AnalysisManager &AM);
 
-/// Standalone form over a private analysis cache.
-TransformStats runCleanupPipeline(IRModule &M,
-                                  const TransformOptions &Options);
-
 } // namespace urcm
 
 #endif // URCM_TRANSFORMS_TRANSFORMS_H

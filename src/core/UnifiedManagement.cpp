@@ -135,12 +135,6 @@ std::string ClassificationStats::str() const {
 }
 
 ClassificationStats
-urcm::applyUnifiedManagement(IRModule &M, const UnifiedOptions &Options) {
-  AnalysisManager AM(M);
-  return applyUnifiedManagement(M, Options, AM);
-}
-
-ClassificationStats
 urcm::applyUnifiedManagement(IRModule &M, const UnifiedOptions &Options,
                              AnalysisManager &AM) {
   ClassificationStats Stats;

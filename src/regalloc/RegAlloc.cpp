@@ -484,18 +484,6 @@ RegAllocStats urcm::allocateRegisters(IRModule &M, IRFunction &F,
   return A.run();
 }
 
-RegAllocStats urcm::allocateRegisters(IRModule &M, IRFunction &F,
-                                      const RegAllocOptions &Options) {
-  AnalysisManager AM(M);
-  return allocateRegisters(M, F, Options, AM);
-}
-
-RegAllocStats urcm::allocateRegisters(IRModule &M,
-                                      const RegAllocOptions &Options) {
-  AnalysisManager AM(M);
-  return allocateRegisters(M, Options, AM);
-}
-
 RegAllocStats urcm::allocateRegisters(IRModule &M,
                                       const RegAllocOptions &Options,
                                       AnalysisManager &AM) {

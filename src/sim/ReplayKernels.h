@@ -36,7 +36,7 @@
 #define URCM_SIM_REPLAYKERNELS_H
 
 #include "urcm/sim/SweepEngine.h"
-#include "urcm/sim/TraceSim.h"
+#include "urcm/sim/CacheModel.h"
 
 #include <algorithm>
 #include <cassert>
@@ -74,7 +74,7 @@ computeNextLineUsesUnhinted(const std::vector<TraceEvent> &Trace,
 /// True if \p P can be served by the specialized two-way LRU kernel
 /// below.
 inline bool lruTwoWayEligible(const SweepPoint &P) {
-  return P.Policy == TracePolicy::LRU &&
+  return P.Policy == CachePolicy::LRU &&
          P.Config.Write == WritePolicy::WriteBack &&
          P.Config.LineWords == 1 && P.Config.Assoc == 2 &&
          P.Config.NumLines >= 2 &&
@@ -98,7 +98,7 @@ inline bool setShardEligible(const SweepPoint &P) {
 /// Specialized lock-step replay for two-way LRU write-back caches with
 /// one-word lines and power-of-two line counts — the paper's preferred
 /// data-cache shape and by far the hottest sweep configuration.
-/// Counters are bit-identical to TraceReplayer; the win is the state
+/// Counters are bit-identical to CacheModel; the win is the state
 /// encoding: each set is a two-entry move-to-front list of tag words
 /// (bit 63 = dirty, all-ones = invalid), so the common case — a hit on
 /// the most recent way — is one load and one compare, with no tick
@@ -349,7 +349,7 @@ class GenericMultiStream {
   uint64_t RunningIndex = 0;
 
 public:
-  /// \p FullTrace is required when any point uses TracePolicy::MIN.
+  /// \p FullTrace is required when any point uses CachePolicy::MIN.
   GenericMultiStream(std::vector<SweepPoint> PointsIn,
                      const std::vector<TraceEvent> *FullTrace,
                      uint32_t ShardDiv = 1)
@@ -363,7 +363,7 @@ public:
     for (const SweepPoint &P : Points) {
       AnyUnhinted |= P.IgnoreHints;
       std::shared_ptr<const std::vector<uint64_t>> Next;
-      if (P.Policy == TracePolicy::MIN) {
+      if (P.Policy == CachePolicy::MIN) {
         assert(FullTrace && "MIN points require the materialized trace");
         auto &Slot = NextUses[{P.Config.LineWords, P.IgnoreHints}];
         if (!Slot)
@@ -413,7 +413,7 @@ public:
   std::vector<CacheStats> finish() {
     std::vector<CacheStats> Out;
     Out.reserve(Replayers.size());
-    for (TraceReplayer &R : Replayers)
+    for (CacheModel &R : Replayers)
       Out.push_back(R.finish());
     return Out;
   }

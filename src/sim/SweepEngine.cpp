@@ -20,7 +20,7 @@
 // *hole*: depth arithmetic still counts it, and the number of holes
 // among the top S entries is exactly the number of free slots in the
 // size-S cache. The update rules (derived positionally, asserted
-// bit-identical to TraceReplayer by tests/sweepengine_test.cpp):
+// bit-identical to CacheModel by tests/sweepengine_test.cpp):
 //
 //  * free (dead tag / bypass migration): the line's entry becomes a
 //    hole in place;
@@ -168,7 +168,7 @@ struct SweepPointStream::Impl {
 
 bool SweepPointStream::streamable(const std::vector<SweepPoint> &Points) {
   return std::none_of(Points.begin(), Points.end(), [](const SweepPoint &P) {
-    return P.Policy == TracePolicy::MIN;
+    return P.Policy == CachePolicy::MIN;
   });
 }
 
@@ -303,7 +303,7 @@ urcm::replayTraceMulti(const std::vector<TraceEvent> &Trace,
 }
 
 bool urcm::stackDistanceEligible(const SweepPoint &Point) {
-  return Point.Policy == TracePolicy::LRU &&
+  return Point.Policy == CachePolicy::LRU &&
          Point.Config.Write == WritePolicy::WriteBack &&
          Point.Config.LineWords == 1 &&
          Point.Config.Assoc == Point.Config.NumLines &&

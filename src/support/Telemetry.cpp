@@ -54,8 +54,10 @@ uint32_t bucketOf(uint64_t V) {
 }
 
 uint64_t bucketUpper(uint32_t B) {
-  if (B < 4)
-    return B;
+  // Buckets 4..7 are never filled (bucketOf maps 4 to bucket 8); giving
+  // them bucket 3's bound keeps the shift below well-defined.
+  if (B < 8)
+    return B < 4 ? B : 3;
   uint32_t Msb = B >> 2, Sub = B & 3;
   return (uint64_t(1) << Msb) + ((uint64_t(Sub) + 1) << (Msb - 2)) - 1;
 }

@@ -219,9 +219,3 @@ TransformStats urcm::runCleanupPipeline(IRModule &M,
   }
   return Stats;
 }
-
-TransformStats urcm::runCleanupPipeline(IRModule &M,
-                                        const TransformOptions &Options) {
-  AnalysisManager AM(M);
-  return runCleanupPipeline(M, Options, AM);
-}

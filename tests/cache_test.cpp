@@ -6,7 +6,7 @@
 
 #include "urcm/sim/Cache.h"
 
-#include "urcm/sim/TraceSim.h"
+#include "urcm/sim/CacheModel.h"
 #include "urcm/support/RNG.h"
 
 #include <gtest/gtest.h>
@@ -98,7 +98,7 @@ TEST(Cache, LRUVictimSelection) {
 TEST(Cache, FIFOVictimSelection) {
   MainMemory Mem(1024);
   CacheConfig Cfg = smallCache(2, 2);
-  Cfg.Policy = ReplacementPolicy::FIFO;
+  Cfg.Policy = CachePolicy::FIFO;
   DataCache C(Cfg, Mem);
   C.read(0, plain());
   C.read(4, plain());
@@ -113,7 +113,7 @@ TEST(Cache, RandomPolicyIsDeterministicPerSeed) {
   auto Run = [](uint64_t Seed) {
     MainMemory Mem(4096);
     CacheConfig Cfg = smallCache(4, 4);
-    Cfg.Policy = ReplacementPolicy::Random;
+    Cfg.Policy = CachePolicy::Random;
     Cfg.Seed = Seed;
     DataCache C(Cfg, Mem);
     for (uint64_t A = 0; A != 64; ++A)
@@ -296,7 +296,7 @@ TEST(Cache, WriteThroughTraceReplayMatchesLiveCache) {
     else
       Live.read(E.Addr, E.Info);
   }
-  CacheStats Replayed = replayTrace(Trace, Cfg, TracePolicy::LRU);
+  CacheStats Replayed = replayTrace(Trace, Cfg, CachePolicy::LRU);
   EXPECT_EQ(Live.stats().ReadHits, Replayed.ReadHits);
   EXPECT_EQ(Live.stats().WriteHits, Replayed.WriteHits);
   EXPECT_EQ(Live.stats().Fills, Replayed.Fills);

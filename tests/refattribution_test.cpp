@@ -104,17 +104,17 @@ std::vector<TraceEvent> numberedTrace(uint64_t Seed, size_t N,
 /// and hint-stripped views.
 std::vector<SweepPoint> attributingPoints(uint32_t NumRefs) {
   std::vector<SweepPoint> Points = {
-      {config(128, 2), TracePolicy::LRU, false},
-      {config(128, 2), TracePolicy::LRU, true},
-      {config(16, 2), TracePolicy::LRU, false},
-      {config(64, 4), TracePolicy::LRU, false},
-      {config(64, 2), TracePolicy::FIFO, false},
-      {config(32, 2, 2), TracePolicy::LRU, false},
-      {config(32, 32), TracePolicy::LRU, false},
-      {config(64, 2), TracePolicy::Random, false},
-      {config(64, 2), TracePolicy::MIN, false},
+      {config(128, 2), CachePolicy::LRU, false},
+      {config(128, 2), CachePolicy::LRU, true},
+      {config(16, 2), CachePolicy::LRU, false},
+      {config(64, 4), CachePolicy::LRU, false},
+      {config(64, 2), CachePolicy::FIFO, false},
+      {config(32, 2, 2), CachePolicy::LRU, false},
+      {config(32, 32), CachePolicy::LRU, false},
+      {config(64, 2), CachePolicy::Random, false},
+      {config(64, 2), CachePolicy::MIN, false},
   };
-  SweepPoint WriteThrough{config(64, 2), TracePolicy::LRU, false};
+  SweepPoint WriteThrough{config(64, 2), CachePolicy::LRU, false};
   WriteThrough.Config.Write = WritePolicy::WriteThrough;
   Points.push_back(WriteThrough);
   for (SweepPoint &P : Points)
@@ -224,7 +224,7 @@ TEST(RefAttribution, UnnumberedEventsLandInOverflowRow) {
   for (TraceEvent &E : Trace)
     E.RefId = MemRefInfo::NoRefId; // Strip all numbering.
   std::vector<SweepPoint> Points = {
-      {config(128, 2), TracePolicy::LRU, false}};
+      {config(128, 2), CachePolicy::LRU, false}};
   Points[0].AttributionRefs = 11;
   const StreamRun R = runSequential(Trace, Points);
   const RefAttribution &A = R.Attrib[0];
@@ -295,9 +295,9 @@ TEST(RefAttribution, SixBenchmarksAcrossStoreModes) {
         static_cast<uint32_t>(Prog->RefTable.size());
     ASSERT_GT(NumRefs, 0u) << W.Name;
     std::vector<SweepPoint> Points = {
-        {config(128, 2), TracePolicy::LRU, false},
-        {config(128, 2), TracePolicy::LRU, true},
-        {config(16, 2), TracePolicy::LRU, false},
+        {config(128, 2), CachePolicy::LRU, false},
+        {config(128, 2), CachePolicy::LRU, true},
+        {config(16, 2), CachePolicy::LRU, false},
     };
     for (SweepPoint &P : Points)
       P.AttributionRefs = NumRefs;
@@ -353,7 +353,7 @@ TEST(RefAttribution, LiveSimulatorMatchesEngineReplay) {
   // Replayed: the engine's hinted point at the same geometry.
   ThreadPool Pool(4);
   std::vector<SweepPoint> Points = {
-      {config(128, 2), TracePolicy::LRU, false}};
+      {config(128, 2), CachePolicy::LRU, false}};
   Points[0].AttributionRefs = NumRefs;
   const std::vector<RefAttribution> Replayed =
       engineAttribution(Prog, Points, "", Pool);

@@ -8,6 +8,7 @@
 
 #include "urcm/ir/Verifier.h"
 #include "urcm/irgen/IRGen.h"
+#include "urcm/pass/AnalysisManager.h"
 #include "urcm/workloads/Workloads.h"
 
 #include <gtest/gtest.h>
@@ -27,7 +28,8 @@ struct Allocated {
     Module = compileToIR(Source, Diags);
     EXPECT_TRUE(static_cast<bool>(Module)) << Diags.str();
     if (Module) {
-      Stats = allocateRegisters(*Module.IR, Options);
+      AnalysisManager AM(*Module.IR);
+      Stats = allocateRegisters(*Module.IR, Options, AM);
       DiagnosticEngine VerifyDiags;
       EXPECT_TRUE(verifyModule(*Module.IR, VerifyDiags))
           << VerifyDiags.str();
@@ -139,7 +141,8 @@ TEST(RegAlloc, WorkloadsAllocateAtVariousBankSizes) {
       ASSERT_TRUE(static_cast<bool>(Module)) << W.Name;
       RegAllocOptions Options;
       Options.NumColors = Colors;
-      RegAllocStats Stats = allocateRegisters(*Module.IR, Options);
+      AnalysisManager AM(*Module.IR);
+      RegAllocStats Stats = allocateRegisters(*Module.IR, Options, AM);
       EXPECT_GT(Stats.NumWebs, 0u) << W.Name;
       expectRegsBelow(*Module.IR, Colors);
       DiagnosticEngine VerifyDiags;
@@ -170,8 +173,9 @@ TEST(RegAlloc, BothPoliciesPreserveWebCount) {
   RegAllocOptions O1, O2;
   O1.Policy = RegAllocPolicy::ChaitinBriggs;
   O2.Policy = RegAllocPolicy::UsageCount;
-  RegAllocStats S1 = allocateRegisters(*M1.IR, O1);
-  RegAllocStats S2 = allocateRegisters(*M2.IR, O2);
+  AnalysisManager AM1(*M1.IR), AM2(*M2.IR);
+  RegAllocStats S1 = allocateRegisters(*M1.IR, O1, AM1);
+  RegAllocStats S2 = allocateRegisters(*M2.IR, O2, AM2);
   EXPECT_GT(S1.NumWebs, 0u);
   EXPECT_GT(S2.NumWebs, 0u);
 }

@@ -77,15 +77,15 @@ const uint32_t ShardCounts[] = {1, 2, 7, 64};
 /// FIFO), and both hint views.
 std::vector<SweepPoint> mixedShardablePoints() {
   std::vector<SweepPoint> Points = {
-      {config(128, 2), TracePolicy::LRU, false},
-      {config(128, 2), TracePolicy::LRU, true},
-      {config(16, 2), TracePolicy::LRU, false},
-      {config(64, 4), TracePolicy::LRU, false},
-      {config(64, 4), TracePolicy::LRU, true},
-      {config(64, 2), TracePolicy::FIFO, false},
-      {config(32, 2, 2), TracePolicy::LRU, false},
+      {config(128, 2), CachePolicy::LRU, false},
+      {config(128, 2), CachePolicy::LRU, true},
+      {config(16, 2), CachePolicy::LRU, false},
+      {config(64, 4), CachePolicy::LRU, false},
+      {config(64, 4), CachePolicy::LRU, true},
+      {config(64, 2), CachePolicy::FIFO, false},
+      {config(32, 2, 2), CachePolicy::LRU, false},
   };
-  SweepPoint WriteThrough{config(64, 2), TracePolicy::LRU, false};
+  SweepPoint WriteThrough{config(64, 2), CachePolicy::LRU, false};
   WriteThrough.Config.Write = WritePolicy::WriteThrough;
   Points.push_back(WriteThrough);
   return Points;
@@ -134,12 +134,12 @@ TEST(ShardedReplay, FuzzHintedAndHintStrippedTraces) {
   // Beyond the shardable mix: Random and MIN (sequential leftover
   // unit) and fully-associative LRU (capacity shards), both views.
   std::vector<SweepPoint> Points = mixedShardablePoints();
-  Points.push_back({config(64, 2), TracePolicy::Random, false});
-  Points.push_back({config(64, 2), TracePolicy::MIN, false});
-  Points.push_back({config(64, 2), TracePolicy::MIN, true});
-  Points.push_back({config(8, 8), TracePolicy::LRU, false});
-  Points.push_back({config(32, 32), TracePolicy::LRU, false});
-  Points.push_back({config(32, 32), TracePolicy::LRU, true});
+  Points.push_back({config(64, 2), CachePolicy::Random, false});
+  Points.push_back({config(64, 2), CachePolicy::MIN, false});
+  Points.push_back({config(64, 2), CachePolicy::MIN, true});
+  Points.push_back({config(8, 8), CachePolicy::LRU, false});
+  Points.push_back({config(32, 32), CachePolicy::LRU, false});
+  Points.push_back({config(32, 32), CachePolicy::LRU, true});
   for (uint64_t Seed : {3u, 17u, 99u}) {
     const std::vector<TraceEvent> Hinted = hintedTrace(Seed, 30000, 700);
     expectShardedMatchesSequential(Hinted, Points, Pool,
@@ -157,8 +157,8 @@ TEST(ShardedReplay, StreamingChunkFeedMatchesBatch) {
   // No MIN (streaming-compatible set, as the engine's streaming branch
   // requires); capacity shards and set shards both present.
   std::vector<SweepPoint> Points = mixedShardablePoints();
-  Points.push_back({config(8, 8), TracePolicy::LRU, false});
-  Points.push_back({config(64, 2), TracePolicy::Random, false});
+  Points.push_back({config(8, 8), CachePolicy::LRU, false});
+  Points.push_back({config(64, 2), CachePolicy::Random, false});
   const std::vector<TraceEvent> Trace = hintedTrace(21, 50000, 900);
   const std::vector<CacheStats> Sequential =
       replaySweepPoints(Trace, Points);
@@ -189,7 +189,7 @@ TEST(ShardedReplay, CapacityShardsMatchStackSweep) {
         sweepLRUStackDistance(Trace, Sizes, IgnoreHints);
     std::vector<SweepPoint> Points;
     for (uint32_t S : Sizes)
-      Points.push_back({config(S, S), TracePolicy::LRU, IgnoreHints});
+      Points.push_back({config(S, S), CachePolicy::LRU, IgnoreHints});
     const std::vector<CacheStats> Got =
         replaySweepPointsSharded(Trace, Points, 3, &Pool);
     for (size_t I = 0; I != Sizes.size(); ++I)
@@ -207,7 +207,7 @@ TEST(ShardedReplay, EngineAndShardedReplayMatchSequentialOracle) {
   ASSERT_NE(W, nullptr);
   std::vector<SweepPoint> Streamable = mixedShardablePoints();
   std::vector<SweepPoint> WithMin = mixedShardablePoints();
-  WithMin.push_back({config(128, 2), TracePolicy::MIN, false});
+  WithMin.push_back({config(128, 2), CachePolicy::MIN, false});
   const std::vector<TraceEvent> Trace = tracedWorkloadRun(*W);
 
   ThreadPool Pool(4);

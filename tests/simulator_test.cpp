@@ -7,6 +7,7 @@
 #include "urcm/sim/Simulator.h"
 
 #include "urcm/driver/Driver.h"
+#include "urcm/workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
@@ -267,6 +268,7 @@ void expectSameSimResult(const SimResult &P, const SimResult &S,
         << What << " event " << I;
     EXPECT_EQ(P.Trace[I].Info.LastRef, S.Trace[I].Info.LastRef)
         << What << " event " << I;
+    EXPECT_EQ(P.Trace[I].RefId, S.Trace[I].RefId) << What << " event " << I;
   }
 }
 
@@ -398,5 +400,175 @@ TEST(EngineDifferential, WorkloadsWithHintsIdentical) {
     CompileOptions Options;
     Options.Scheme = Scheme;
     expectEnginesAgree(Source, {}, Options);
+  }
+}
+
+namespace {
+
+/// Compiles one paper workload under the full unified pipeline (the
+/// configuration the paper figures and the benches run).
+MachineProgram compileWorkload(const Workload &W) {
+  DiagnosticEngine Diags;
+  CompileResult R = compileProgram(W.Source, CompileOptions(), Diags);
+  EXPECT_TRUE(R.Ok) << "compile failed for " << W.Name;
+  return std::move(R.Program);
+}
+
+} // namespace
+
+// Every paper workload, with per-reference attribution on: full
+// SimResult, every trace event and the attribution tables agree.
+TEST(EngineDifferential, PaperWorkloadsBitIdentical) {
+  for (const Workload &W : paperWorkloads()) {
+    SCOPED_TRACE(W.Name);
+    MachineProgram Prog = compileWorkload(W);
+
+    auto runWith = [&](SimEngine Engine, RefAttribution &Attr) {
+      SimConfig Sim;
+      Sim.Engine = Engine;
+      Sim.RecordTrace = true;
+      Attr = RefAttribution(static_cast<uint32_t>(Prog.RefTable.size()));
+      Sim.Attribution = &Attr;
+      return Simulator(Sim).run(Prog);
+    };
+
+    RefAttribution AttrS, AttrP;
+    SimResult S = runWith(SimEngine::Switch, AttrS);
+    SimResult P = runWith(SimEngine::Predecoded, AttrP);
+    ASSERT_TRUE(S.ok()) << S.Error;
+    // ExpectedOutput is a known-correct prefix (workloads_test checks
+    // it in depth); a quick sanity check that we ran the real program.
+    ASSERT_GE(S.Output.size(), W.ExpectedOutput.size());
+    for (size_t I = 0; I != W.ExpectedOutput.size(); ++I)
+      EXPECT_EQ(S.Output[I], W.ExpectedOutput[I]);
+
+    expectSameSimResult(P, S, W.Name);
+    EXPECT_EQ(AttrP, AttrS) << "attribution diverged";
+  }
+}
+
+// A back-edge into the middle of a straight-line run: the predecoded
+// engine enters the run mid-way through its per-index run length, and
+// every step limit lands on each instruction of it, including right at
+// the mid-run entry.
+TEST(EngineDifferential, BranchIntoRunMiddle) {
+  MachineProgram Prog;
+  auto li = [](uint32_t Rd, int64_t Imm) {
+    MInst I;
+    I.Op = MOpcode::Li;
+    I.Rd = Rd;
+    I.Imm = Imm;
+    return I;
+  };
+  auto ld = [](uint32_t Rd, int64_t Addr) {
+    MInst I;
+    I.Op = MOpcode::Ld;
+    I.Rd = Rd;
+    I.Imm = Addr; // absolute: base register absent
+    return I;
+  };
+  auto st = [](int64_t Addr, uint32_t Rs) {
+    MInst I;
+    I.Op = MOpcode::St;
+    I.Rs2 = Rs;
+    I.Imm = Addr;
+    return I;
+  };
+  Prog.Code.push_back(li(1, 3));       // 0: r1 = loop counter
+  Prog.Code.push_back(li(5, 11));      // 1: r5 = 11
+  Prog.Code.push_back(st(0x40, 5));    // 2: mem[0x40] = 11
+  Prog.Code.push_back(st(0x41, 1));    // 3: mem[0x41] = r1
+  Prog.Code.push_back(ld(3, 0x40));    // 4: r3 = mem[0x40]
+  Prog.Code.push_back(ld(4, 0x41));    // 5: r4 = mem[0x41]  <- branch target
+  {
+    MInst Sub;                         // 6: r1 = r1 - 1
+    Sub.Op = MOpcode::Sub;
+    Sub.Rd = 1;
+    Sub.Rs1 = 1;
+    Sub.UseImm = true;
+    Sub.Imm = 1;
+    Prog.Code.push_back(Sub);
+  }
+  Prog.Code.push_back(st(0x42, 1));    // 7: mem[0x42] = r1
+  {
+    MInst Bnz;                         // 8: if (r1) goto 5 — mid-run!
+    Bnz.Op = MOpcode::Bnz;
+    Bnz.Rs1 = 1;
+    Bnz.Target = 5;
+    Prog.Code.push_back(Bnz);
+  }
+  {
+    MInst P;                           // 9-10: print r3, r4
+    P.Op = MOpcode::Print;
+    P.Rs1 = 3;
+    Prog.Code.push_back(P);
+    P.Rs1 = 4;
+    Prog.Code.push_back(P);
+  }
+  {
+    MInst H;                           // 11: halt
+    H.Op = MOpcode::Halt;
+    Prog.Code.push_back(H);
+  }
+
+  auto runWith = [&](SimEngine Engine, uint64_t MaxSteps) {
+    SimConfig Sim;
+    Sim.Engine = Engine;
+    Sim.RecordTrace = true;
+    if (MaxSteps)
+      Sim.MaxSteps = MaxSteps;
+    return Simulator(Sim).run(Prog);
+  };
+  SimResult S = runWith(SimEngine::Switch, 0);
+  SimResult P = runWith(SimEngine::Predecoded, 0);
+  ASSERT_TRUE(S.ok()) << S.Error;
+  EXPECT_EQ(S.Output, (std::vector<int64_t>{11, 3}));
+  expectSameSimResult(P, S, "full run");
+
+  for (uint64_t L = 1; L < S.Steps; ++L) {
+    const std::string What = "MaxSteps=" + std::to_string(L);
+    SimResult TS = runWith(SimEngine::Switch, L);
+    SimResult TP = runWith(SimEngine::Predecoded, L);
+    EXPECT_EQ(TS.Steps, L) << What;
+    EXPECT_EQ(TP.Steps, L) << What;
+    expectSameSimResult(TP, TS, What);
+  }
+}
+
+// A truncated run stops after exactly MaxSteps retired instructions:
+// every limit small enough to land on each phase of the first runs the
+// program enters, a band in the middle of the main loop, and one step
+// short of completion.
+TEST(EngineDifferential, MaxStepsStopsExactly) {
+  const Workload *W = findWorkload("Bubble");
+  ASSERT_NE(W, nullptr);
+  MachineProgram Prog = compileWorkload(*W);
+
+  SimResult Complete = Simulator(SimConfig()).run(Prog);
+  ASSERT_TRUE(Complete.ok()) << Complete.Error;
+  ASSERT_GT(Complete.Steps, 2000u);
+
+  std::vector<uint64_t> Limits;
+  for (uint64_t L = 1; L <= 192; ++L)
+    Limits.push_back(L);
+  for (uint64_t L = 1001; L <= 1064; ++L)
+    Limits.push_back(L);
+  Limits.push_back(Complete.Steps - 1);
+
+  for (uint64_t L : Limits) {
+    const std::string What = "MaxSteps=" + std::to_string(L);
+    auto truncated = [&](SimEngine Engine) {
+      SimConfig Sim;
+      Sim.Engine = Engine;
+      Sim.MaxSteps = L;
+      Sim.RecordTrace = true;
+      return Simulator(Sim).run(Prog);
+    };
+    SimResult S = truncated(SimEngine::Switch);
+    SimResult P = truncated(SimEngine::Predecoded);
+    EXPECT_FALSE(S.Halted) << What;
+    EXPECT_EQ(S.Steps, L) << What << ": switch interpreter overshot";
+    EXPECT_EQ(P.Steps, L) << What << ": predecoded engine overshot";
+    expectSameSimResult(P, S, What);
   }
 }

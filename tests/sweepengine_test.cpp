@@ -6,7 +6,7 @@
 // shortcut (lock-step multi-replay, the two-way LRU kernel, the
 // hole-extended stack-distance pass, hint-stripped conventional replay)
 // must reproduce the exact counters of the slow path it replaces. These
-// tests pin that down against TraceReplayer, the live DataCache and
+// tests pin that down against CacheModel, the live DataCache and
 // full conventional-scheme simulations.
 //
 //===----------------------------------------------------------------------===//
@@ -96,22 +96,22 @@ TEST(ReplayMulti, MatchesPerPointReplayAcrossConfigurations) {
   std::vector<TraceEvent> Trace = hintedTrace(7, 20000, 600);
   std::vector<SweepPoint> Points = {
       // Two-way LRU kernel candidates, hinted and stripped.
-      {config(128, 2), TracePolicy::LRU, false},
-      {config(16, 2), TracePolicy::LRU, false},
-      {config(16, 2), TracePolicy::LRU, true},
-      {config(1024, 2), TracePolicy::LRU, true},
+      {config(128, 2), CachePolicy::LRU, false},
+      {config(16, 2), CachePolicy::LRU, false},
+      {config(16, 2), CachePolicy::LRU, true},
+      {config(1024, 2), CachePolicy::LRU, true},
       // General path: other associativities, multi-word lines,
       // write-through, non-LRU policies, Belady MIN.
-      {config(64, 4), TracePolicy::LRU, false},
-      {config(32, 2, 2), TracePolicy::LRU, false},
-      {config(32, 2, 4), TracePolicy::LRU, true},
-      {config(64, 2), TracePolicy::FIFO, false},
-      {config(64, 2), TracePolicy::Random, false},
-      {config(64, 2), TracePolicy::MIN, false},
-      {config(64, 2), TracePolicy::MIN, true},
-      {config(8, 8), TracePolicy::LRU, false},
+      {config(64, 4), CachePolicy::LRU, false},
+      {config(32, 2, 2), CachePolicy::LRU, false},
+      {config(32, 2, 4), CachePolicy::LRU, true},
+      {config(64, 2), CachePolicy::FIFO, false},
+      {config(64, 2), CachePolicy::Random, false},
+      {config(64, 2), CachePolicy::MIN, false},
+      {config(64, 2), CachePolicy::MIN, true},
+      {config(8, 8), CachePolicy::LRU, false},
   };
-  SweepPoint WriteThrough{config(64, 2), TracePolicy::LRU, false};
+  SweepPoint WriteThrough{config(64, 2), CachePolicy::LRU, false};
   WriteThrough.Config.Write = WritePolicy::WriteThrough;
   Points.push_back(WriteThrough);
 
@@ -128,7 +128,7 @@ TEST(ReplayMulti, TwoWayKernelOddTrafficPatterns) {
   std::vector<SweepPoint> Points;
   for (uint32_t Lines : {2u, 4u, 16u, 4096u})
     for (bool Ignore : {false, true})
-      Points.push_back({config(Lines, 2), TracePolicy::LRU, Ignore});
+      Points.push_back({config(Lines, 2), CachePolicy::LRU, Ignore});
   std::vector<CacheStats> Got = replayTraceMulti(Trace, Points);
   for (size_t I = 0; I != Points.size(); ++I)
     EXPECT_EQ(Got[I], groundTruth(Trace, Points[I])) << "point " << I;
@@ -142,7 +142,7 @@ TEST(StackDistance, MatchesReplayAtEveryFullyAssociativeSize) {
         sweepLRUStackDistance(Trace, Sizes, Ignore);
     ASSERT_EQ(Got.size(), Sizes.size());
     for (size_t I = 0; I != Sizes.size(); ++I) {
-      SweepPoint P{config(Sizes[I], Sizes[I]), TracePolicy::LRU, Ignore};
+      SweepPoint P{config(Sizes[I], Sizes[I]), CachePolicy::LRU, Ignore};
       EXPECT_EQ(Got[I], groundTruth(Trace, P))
           << "size " << Sizes[I] << " ignore=" << Ignore;
     }
@@ -153,8 +153,8 @@ TEST(StackDistance, ReplaySweepPointsDispatchesToIt) {
   std::vector<TraceEvent> Trace = hintedTrace(13, 15000, 300);
   std::vector<SweepPoint> Points;
   for (uint32_t S : {4u, 16u, 64u})
-    Points.push_back({config(S, S), TracePolicy::LRU, false});
-  Points.push_back({config(32, 32), TracePolicy::LRU, true});
+    Points.push_back({config(S, S), CachePolicy::LRU, false});
+  Points.push_back({config(32, 32), CachePolicy::LRU, true});
   ASSERT_TRUE(std::all_of(Points.begin(), Points.end(),
                           stackDistanceEligible));
   std::vector<CacheStats> Got = replaySweepPoints(Trace, Points);
@@ -172,14 +172,14 @@ TEST(ReplayEquivalence, WorkloadTraceMatchesLiveSimulation) {
   Sim.Cache = config(128, 2);
   Sim.RecordTrace = true;
   SimResult R = runWorkload("Queen", O, Sim);
-  EXPECT_EQ(R.Cache, replayTrace(R.Trace, Sim.Cache, TracePolicy::LRU));
+  EXPECT_EQ(R.Cache, replayTrace(R.Trace, Sim.Cache, CachePolicy::LRU));
 
   // And every sweep geometry replayed from this trace matches a
   // dedicated per-point replay.
   std::vector<SweepPoint> Points;
   for (uint32_t Lines : {16u, 64u, 256u, 1024u})
     for (bool Ignore : {false, true})
-      Points.push_back({config(Lines, 2), TracePolicy::LRU, Ignore});
+      Points.push_back({config(Lines, 2), CachePolicy::LRU, Ignore});
   std::vector<CacheStats> Got = replayTraceMulti(R.Trace, Points);
   for (size_t I = 0; I != Points.size(); ++I)
     EXPECT_EQ(Got[I], groundTruth(R.Trace, Points[I])) << "point " << I;
@@ -205,7 +205,7 @@ TEST(ReplayEquivalence, HintStrippedReplayMatchesConventionalRun) {
     SimConfig Sim;
     Sim.Cache = config(Lines, 2);
     SimResult C = runWorkload("Queen", Conv, Sim);
-    SweepPoint P{Sim.Cache, TracePolicy::LRU, /*IgnoreHints=*/true};
+    SweepPoint P{Sim.Cache, CachePolicy::LRU, /*IgnoreHints=*/true};
     EXPECT_EQ(C.Cache, replayTraceMulti(U.Trace, {P})[0])
         << "lines " << Lines;
     EXPECT_EQ(C.Output, U.Output);
@@ -223,9 +223,9 @@ TEST(Engine, CompileOnceServesEveryPointAndReusesBase) {
   SimConfig Base;
   Base.Cache = config(128, 2);
   std::vector<SweepPoint> Points = {
-      {config(16, 2), TracePolicy::LRU, false},
-      {config(128, 2), TracePolicy::LRU, false}, // == base geometry
-      {config(16, 2), TracePolicy::LRU, true},
+      {config(16, 2), CachePolicy::LRU, false},
+      {config(128, 2), CachePolicy::LRU, false}, // == base geometry
+      {config(16, 2), CachePolicy::LRU, true},
   };
   auto Producer = [&](const SimConfig &Sim) {
     ++Runs;
@@ -274,9 +274,9 @@ TEST(Engine, ParallelExecutionIsDeterministic) {
       SimConfig Base;
       Base.Cache = config(128, 2);
       std::vector<SweepPoint> Points = {
-          {config(16, 2), TracePolicy::LRU, false},
-          {config(64, 2), TracePolicy::Random, false},
-          {config(64, 2), TracePolicy::MIN, true},
+          {config(16, 2), CachePolicy::LRU, false},
+          {config(64, 2), CachePolicy::Random, false},
+          {config(64, 2), CachePolicy::MIN, true},
       };
       Engine.schedule(Name, Name, Base, Points,
                       [Name, O](const SimConfig &Sim) {
@@ -323,12 +323,12 @@ TEST(Engine, TraceReserveHintDoesNotChangeResults) {
 TEST(Streaming, ChunkedFeedMatchesBatchKernels) {
   std::vector<TraceEvent> Trace = hintedTrace(21, 30000, 700);
   std::vector<SweepPoint> Points = {
-      {config(128, 2), TracePolicy::LRU, false},
-      {config(16, 2), TracePolicy::LRU, true},
-      {config(64, 4), TracePolicy::LRU, false},
-      {config(32, 2, 2), TracePolicy::LRU, true},
-      {config(64, 2), TracePolicy::FIFO, false},
-      {config(8, 8), TracePolicy::LRU, false},
+      {config(128, 2), CachePolicy::LRU, false},
+      {config(16, 2), CachePolicy::LRU, true},
+      {config(64, 4), CachePolicy::LRU, false},
+      {config(32, 2, 2), CachePolicy::LRU, true},
+      {config(64, 2), CachePolicy::FIFO, false},
+      {config(8, 8), CachePolicy::LRU, false},
   };
   std::vector<CacheStats> Batch = replaySweepPoints(Trace, Points);
   // Awkward chunk sizes: prime-sized, single-event, and a short tail.
@@ -347,8 +347,8 @@ TEST(Streaming, ChunkedFeedMatchesBatchStackDistance) {
   std::vector<TraceEvent> Trace = hintedTrace(22, 30000, 500);
   std::vector<SweepPoint> Points;
   for (uint32_t Lines : {2u, 8u, 32u, 100u, 256u, 1024u}) {
-    Points.push_back({config(Lines, Lines), TracePolicy::LRU, false});
-    Points.push_back({config(Lines, Lines), TracePolicy::LRU, true});
+    Points.push_back({config(Lines, Lines), CachePolicy::LRU, false});
+    Points.push_back({config(Lines, Lines), CachePolicy::LRU, true});
   }
   ASSERT_TRUE(std::all_of(Points.begin(), Points.end(),
                           stackDistanceEligible));

@@ -4,7 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "urcm/sim/TraceSim.h"
+#include "urcm/sim/CacheModel.h"
 
 #include "urcm/support/RNG.h"
 
@@ -60,7 +60,7 @@ std::vector<TraceEvent> randomTrace(uint64_t Seed, size_t N,
 
 TEST(TraceSim, BasicHitMissCounting) {
   std::vector<TraceEvent> Trace = {read(1), read(1), write(1), read(2)};
-  CacheStats S = replayTrace(Trace, config(4, 2), TracePolicy::LRU);
+  CacheStats S = replayTrace(Trace, config(4, 2), CachePolicy::LRU);
   EXPECT_EQ(S.Reads, 3u);
   EXPECT_EQ(S.Writes, 1u);
   EXPECT_EQ(S.ReadHits, 1u);
@@ -72,7 +72,7 @@ TEST(TraceSim, LastRefDropsWriteBack) {
   std::vector<TraceEvent> Trace = {write(1), readLast(1), read(9),
                                    read(17)};
   // Single line: without the dead tag, reading 9 would write back 1.
-  CacheStats S = replayTrace(Trace, config(1, 1), TracePolicy::LRU);
+  CacheStats S = replayTrace(Trace, config(1, 1), CachePolicy::LRU);
   EXPECT_EQ(S.DeadFrees, 1u);
   EXPECT_EQ(S.DeadWriteBacksAvoided, 1u);
   EXPECT_EQ(S.WriteBacks, 0u);
@@ -80,7 +80,7 @@ TEST(TraceSim, LastRefDropsWriteBack) {
 
 TEST(TraceSim, BypassDoesNotAllocate) {
   std::vector<TraceEvent> Trace = {readBypass(1), readBypass(1), read(1)};
-  CacheStats S = replayTrace(Trace, config(4, 2), TracePolicy::LRU);
+  CacheStats S = replayTrace(Trace, config(4, 2), CachePolicy::LRU);
   EXPECT_EQ(S.BypassReads, 2u);
   EXPECT_EQ(S.Reads, 1u);
   EXPECT_EQ(S.ReadHits, 0u) << "bypass reads must not have warmed the set";
@@ -92,9 +92,9 @@ TEST(TraceSim, MINBeatsOrTiesEveryPolicyOnRandomTraces) {
   for (uint64_t Seed : {1ull, 2ull, 3ull, 4ull, 5ull, 6ull, 7ull, 8ull}) {
     auto Trace = randomTrace(Seed, 4000, 512);
     for (auto Geometry : {config(16, 2), config(32, 4), config(8, 8)}) {
-      CacheStats Min = replayTrace(Trace, Geometry, TracePolicy::MIN);
-      for (TracePolicy P : {TracePolicy::LRU, TracePolicy::FIFO,
-                            TracePolicy::Random}) {
+      CacheStats Min = replayTrace(Trace, Geometry, CachePolicy::MIN);
+      for (CachePolicy P : {CachePolicy::LRU, CachePolicy::FIFO,
+                            CachePolicy::Random}) {
         CacheStats Other = replayTrace(Trace, Geometry, P);
         EXPECT_LE(Min.misses(), Other.misses())
             << "seed=" << Seed << " policy=" << cachePolicyName(P)
@@ -118,7 +118,7 @@ TEST(TraceSim, LRUMatchesLiveCacheSemantics) {
     else
       Live.read(E.Addr, E.Info);
   }
-  CacheStats Replayed = replayTrace(Trace, Geometry, TracePolicy::LRU);
+  CacheStats Replayed = replayTrace(Trace, Geometry, CachePolicy::LRU);
 
   EXPECT_EQ(Live.stats().Reads, Replayed.Reads);
   EXPECT_EQ(Live.stats().Writes, Replayed.Writes);
@@ -134,8 +134,8 @@ TEST(TraceSim, ConservationInvariants) {
   // dead drop; hits + misses == refs.
   for (uint64_t Seed : {21ull, 22ull, 23ull}) {
     auto Trace = randomTrace(Seed, 3000, 300);
-    for (TracePolicy P : {TracePolicy::LRU, TracePolicy::FIFO,
-                          TracePolicy::Random, TracePolicy::MIN}) {
+    for (CachePolicy P : {CachePolicy::LRU, CachePolicy::FIFO,
+                          CachePolicy::Random, CachePolicy::MIN}) {
       CacheStats S = replayTrace(Trace, config(16, 2), P);
       EXPECT_EQ(S.Reads + S.Writes,
                 S.ReadHits + S.WriteHits + S.misses());
@@ -147,14 +147,14 @@ TEST(TraceSim, ConservationInvariants) {
 TEST(TraceSim, MultiWordLineSharing) {
   // Consecutive addresses share a 4-word line: 1 fill serves 4 reads.
   std::vector<TraceEvent> Trace = {read(0), read(1), read(2), read(3)};
-  CacheStats S = replayTrace(Trace, config(4, 2, 4), TracePolicy::LRU);
+  CacheStats S = replayTrace(Trace, config(4, 2, 4), CachePolicy::LRU);
   EXPECT_EQ(S.Fills, 1u);
   EXPECT_EQ(S.ReadHits, 3u);
   EXPECT_EQ(S.FillWords, 4u);
 }
 
 TEST(TraceSim, EmptyTrace) {
-  CacheStats S = replayTrace({}, config(4, 2), TracePolicy::MIN);
+  CacheStats S = replayTrace({}, config(4, 2), CachePolicy::MIN);
   EXPECT_EQ(S.Reads + S.Writes, 0u);
   EXPECT_EQ(S.Fills, 0u);
 }

@@ -9,6 +9,7 @@
 #include "urcm/driver/Driver.h"
 #include "urcm/ir/Interpreter.h"
 #include "urcm/ir/Verifier.h"
+#include "urcm/pass/AnalysisManager.h"
 #include "urcm/workloads/Workloads.h"
 
 #include <gtest/gtest.h>
@@ -57,7 +58,8 @@ TEST(Transforms, CopyPropagationForwardsValues) {
                       "  print(z);\n"
                       "}\n");
   TransformOptions Options;
-  TransformStats Stats = runCleanupPipeline(*Module.IR, Options);
+  AnalysisManager AM(*Module.IR);
+  TransformStats Stats = runCleanupPipeline(*Module.IR, Options, AM);
   EXPECT_GT(Stats.CopiesPropagated, 0u);
   EXPECT_GT(Stats.DeadInstsRemoved, 0u);
   DiagnosticEngine Diags;
@@ -77,7 +79,8 @@ TEST(Transforms, DCERemovesUnusedComputation) {
                       "}\n");
   unsigned Before = countInsts(*Module.IR);
   TransformOptions Options;
-  runCleanupPipeline(*Module.IR, Options);
+  AnalysisManager AM(*Module.IR);
+  runCleanupPipeline(*Module.IR, Options, AM);
   EXPECT_LT(countInsts(*Module.IR), Before);
   InterpResult R = interpretModule(*Module.IR);
   ASSERT_TRUE(R.ok());
@@ -94,7 +97,8 @@ TEST(Transforms, DCEKeepsCallsAndStores) {
                       "  print(g);\n"
                       "}\n");
   TransformOptions Options;
-  runCleanupPipeline(*Module.IR, Options);
+  AnalysisManager AM(*Module.IR);
+  runCleanupPipeline(*Module.IR, Options, AM);
   EXPECT_GE(countOps(*Module.IR, Opcode::Call), 1u);
   InterpResult R = interpretModule(*Module.IR);
   ASSERT_TRUE(R.ok());
@@ -113,7 +117,8 @@ TEST(Transforms, DeadStoreEliminationEraMode) {
   unsigned StoresBefore = countOps(*Module.IR, Opcode::Store);
   TransformOptions Options;
   Options.DeadStoreElimination = true;
-  TransformStats Stats = runCleanupPipeline(*Module.IR, Options);
+  AnalysisManager AM(*Module.IR);
+  TransformStats Stats = runCleanupPipeline(*Module.IR, Options, AM);
   EXPECT_GE(Stats.DeadStoresRemoved, 1u);
   EXPECT_LT(countOps(*Module.IR, Opcode::Store), StoresBefore);
   InterpResult R = interpretModule(*Module.IR);
@@ -125,7 +130,8 @@ TEST(Transforms, DSEKeepsGlobalFinalStores) {
   auto Module = lower("int g; void main() { g = 7; }");
   TransformOptions Options;
   Options.DeadStoreElimination = true;
-  TransformStats Stats = runCleanupPipeline(*Module.IR, Options);
+  AnalysisManager AM(*Module.IR);
+  TransformStats Stats = runCleanupPipeline(*Module.IR, Options, AM);
   EXPECT_EQ(Stats.DeadStoresRemoved, 0u);
   EXPECT_EQ(countOps(*Module.IR, Opcode::Store), 1u);
 }
@@ -137,9 +143,10 @@ TEST(Transforms, PipelineReachesFixpoint) {
                       "  print(d);\n"
                       "}\n");
   TransformOptions Options;
-  runCleanupPipeline(*Module.IR, Options);
+  AnalysisManager AM(*Module.IR);
+  runCleanupPipeline(*Module.IR, Options, AM);
   // A second run must make no further progress.
-  TransformStats Again = runCleanupPipeline(*Module.IR, Options);
+  TransformStats Again = runCleanupPipeline(*Module.IR, Options, AM);
   EXPECT_EQ(Again.CopiesPropagated, 0u);
   EXPECT_EQ(Again.DeadInstsRemoved, 0u);
 }
@@ -154,7 +161,8 @@ TEST(Transforms, WorkloadsPreserveOutputUnderCleanup) {
       auto Cleaned = lower(W.Source, Era);
       TransformOptions Options;
       Options.DeadStoreElimination = true;
-      runCleanupPipeline(*Cleaned.IR, Options);
+      AnalysisManager AM(*Cleaned.IR);
+      runCleanupPipeline(*Cleaned.IR, Options, AM);
       DiagnosticEngine Diags;
       ASSERT_TRUE(verifyModule(*Cleaned.IR, Diags))
           << W.Name << ": " << Diags.str();

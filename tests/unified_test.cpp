@@ -7,9 +7,12 @@
 #include "urcm/core/UnifiedManagement.h"
 
 #include "urcm/irgen/IRGen.h"
+#include "urcm/pass/AnalysisManager.h"
 #include "urcm/regalloc/RegAlloc.h"
 
 #include <gtest/gtest.h>
+
+#include <optional>
 
 using namespace urcm;
 
@@ -17,6 +20,8 @@ namespace {
 
 struct Prepared {
   CompiledModule Module;
+  /// Analysis cache shared by allocation and the unified pass.
+  std::optional<AnalysisManager> AM;
 
   Prepared(const std::string &Source, bool EraMode = false) {
     DiagnosticEngine Diags;
@@ -24,8 +29,10 @@ struct Prepared {
     Options.ScalarLocalsInMemory = EraMode;
     Module = compileToIR(Source, Diags, Options);
     EXPECT_TRUE(static_cast<bool>(Module)) << Diags.str();
-    if (Module)
-      allocateRegisters(*Module.IR, RegAllocOptions());
+    if (Module) {
+      AM.emplace(*Module.IR);
+      allocateRegisters(*Module.IR, RegAllocOptions(), *AM);
+    }
   }
 };
 
@@ -58,7 +65,7 @@ void main() {
 
 TEST(Unified, ClassifiesEveryReference) {
   Prepared P(MixedProgram);
-  applyUnifiedManagement(*P.Module.IR, UnifiedOptions::unified());
+  applyUnifiedManagement(*P.Module.IR, UnifiedOptions::unified(), *P.AM);
   for (const Instruction *I : memRefs(*P.Module.IR))
     EXPECT_NE(I->MemInfo.Class, RefClass::Unknown);
 }
@@ -66,7 +73,8 @@ TEST(Unified, ClassifiesEveryReference) {
 TEST(Unified, StaticStatsAddUp) {
   Prepared P(MixedProgram);
   ClassificationStats S =
-      applyUnifiedManagement(*P.Module.IR, UnifiedOptions::unified());
+      applyUnifiedManagement(*P.Module.IR, UnifiedOptions::unified(),
+                             *P.AM);
   EXPECT_EQ(S.totalRefs(), memRefs(*P.Module.IR).size());
   EXPECT_GT(S.UnambiguousRefs, 0u);
   EXPECT_GT(S.AmbiguousRefs, 0u);
@@ -76,7 +84,7 @@ TEST(Unified, StaticStatsAddUp) {
 TEST(Unified, ConventionalSchemeEmitsNoHints) {
   Prepared P(MixedProgram);
   ClassificationStats S = applyUnifiedManagement(
-      *P.Module.IR, UnifiedOptions::conventional());
+      *P.Module.IR, UnifiedOptions::conventional(), *P.AM);
   EXPECT_EQ(S.BypassRefs, 0u);
   EXPECT_EQ(S.LastRefTags, 0u);
   for (const Instruction *I : memRefs(*P.Module.IR)) {
@@ -87,7 +95,7 @@ TEST(Unified, ConventionalSchemeEmitsNoHints) {
 
 TEST(Unified, BypassOnlyUnambiguous) {
   Prepared P(MixedProgram);
-  applyUnifiedManagement(*P.Module.IR, UnifiedOptions::unified());
+  applyUnifiedManagement(*P.Module.IR, UnifiedOptions::unified(), *P.AM);
   for (const Instruction *I : memRefs(*P.Module.IR)) {
     if (I->MemInfo.Bypass) {
       EXPECT_EQ(I->MemInfo.Class, RefClass::Unambiguous);
@@ -117,9 +125,10 @@ void main() {
   ASSERT_TRUE(static_cast<bool>(Module));
   RegAllocOptions RA;
   RA.NumColors = 8;
-  allocateRegisters(*Module.IR, RA);
+  AnalysisManager AM(*Module.IR);
+  allocateRegisters(*Module.IR, RA, AM);
   ClassificationStats S =
-      applyUnifiedManagement(*Module.IR, UnifiedOptions::unified());
+      applyUnifiedManagement(*Module.IR, UnifiedOptions::unified(), AM);
   EXPECT_GT(S.SpillRefs, 0u);
   for (const Instruction *I : memRefs(*Module.IR))
     if (I->MemInfo.Class == RefClass::Spill ||
@@ -131,7 +140,7 @@ void main() {
 TEST(Unified, DeadTagOnlySetsNoBypass) {
   Prepared P(MixedProgram, /*EraMode=*/true);
   ClassificationStats S = applyUnifiedManagement(
-      *P.Module.IR, UnifiedOptions::deadTagOnly());
+      *P.Module.IR, UnifiedOptions::deadTagOnly(), *P.AM);
   EXPECT_EQ(S.BypassRefs, 0u);
   EXPECT_GT(S.LastRefTags + S.DeadStoreTags, 0u);
 }
@@ -140,9 +149,10 @@ TEST(Unified, EraModeRaisesUnambiguousShare) {
   Prepared Allocating(MixedProgram, /*EraMode=*/false);
   Prepared Era(MixedProgram, /*EraMode=*/true);
   ClassificationStats SAlloc = applyUnifiedManagement(
-      *Allocating.Module.IR, UnifiedOptions::unified());
+      *Allocating.Module.IR, UnifiedOptions::unified(), *Allocating.AM);
   ClassificationStats SEra =
-      applyUnifiedManagement(*Era.Module.IR, UnifiedOptions::unified());
+      applyUnifiedManagement(*Era.Module.IR, UnifiedOptions::unified(),
+                             *Era.AM);
   EXPECT_GT(SEra.unambiguousFraction(), SAlloc.unambiguousFraction());
   // The paper's static measurement: 70-80% unambiguous in era code.
   EXPECT_GT(SEra.unambiguousFraction(), 0.5);
@@ -160,7 +170,7 @@ void main() {
 }
 )mc";
   Prepared P(HotGlobal);
-  applyUnifiedManagement(*P.Module.IR, UnifiedOptions::reuseAware());
+  applyUnifiedManagement(*P.Module.IR, UnifiedOptions::reuseAware(), *P.AM);
   const IRFunction *Tick = P.Module.IR->findFunction("tick");
   ASSERT_NE(Tick, nullptr);
   for (const auto &B : Tick->blocks())
@@ -172,7 +182,7 @@ void main() {
 
   // The blind policy bypasses it.
   Prepared P2(HotGlobal);
-  applyUnifiedManagement(*P2.Module.IR, UnifiedOptions::unified());
+  applyUnifiedManagement(*P2.Module.IR, UnifiedOptions::unified(), *P2.AM);
   const IRFunction *Tick2 = P2.Module.IR->findFunction("tick");
   bool AnyBypass = false;
   for (const auto &B : Tick2->blocks())
@@ -186,9 +196,11 @@ TEST(Unified, IdempotentReapplication) {
   // Re-running the pass with the same options must not change anything.
   Prepared P(MixedProgram);
   ClassificationStats First =
-      applyUnifiedManagement(*P.Module.IR, UnifiedOptions::unified());
+      applyUnifiedManagement(*P.Module.IR, UnifiedOptions::unified(),
+                             *P.AM);
   ClassificationStats Second =
-      applyUnifiedManagement(*P.Module.IR, UnifiedOptions::unified());
+      applyUnifiedManagement(*P.Module.IR, UnifiedOptions::unified(),
+                             *P.AM);
   EXPECT_EQ(First.UnambiguousRefs, Second.UnambiguousRefs);
   EXPECT_EQ(First.AmbiguousRefs, Second.AmbiguousRefs);
   EXPECT_EQ(First.BypassRefs, Second.BypassRefs);
@@ -197,8 +209,9 @@ TEST(Unified, IdempotentReapplication) {
 
 TEST(Unified, SchemeSwitchOverwritesHints) {
   Prepared P(MixedProgram);
-  applyUnifiedManagement(*P.Module.IR, UnifiedOptions::unified());
-  applyUnifiedManagement(*P.Module.IR, UnifiedOptions::conventional());
+  applyUnifiedManagement(*P.Module.IR, UnifiedOptions::unified(), *P.AM);
+  applyUnifiedManagement(*P.Module.IR, UnifiedOptions::conventional(),
+                         *P.AM);
   for (const Instruction *I : memRefs(*P.Module.IR)) {
     EXPECT_FALSE(I->MemInfo.Bypass);
     EXPECT_FALSE(I->MemInfo.LastRef);

@@ -159,12 +159,6 @@ std::vector<Prepared> compileAll(std::vector<WorkloadData> &Data) {
   return Programs;
 }
 
-/// --no-fuse: run every simulation with superinstruction fusion off.
-/// The report is byte-identical either way (fusion is
-/// trace-transparent); the flag exists as the A/B baseline for that
-/// claim (scripts/check.sh --fuse diffs the two outputs).
-bool NoFuse = false;
-
 /// Schedules one plain run (no sweep points — the experiment exists for
 /// its base counters, and for the store: warm runs serve it from the
 /// recorded summary without simulating).
@@ -173,7 +167,6 @@ void scheduleRun(SweepEngine &Engine, const std::string &Key,
                  std::shared_ptr<MachineProgram> Prog) {
   SimConfig Sim;
   Sim.Cache = paperCache();
-  Sim.Fusion = !NoFuse;
   uint64_t Hash = Engine.traceStoreDir().empty()
                       ? 0
                       : traceContentHash(*Prog, Sim);
@@ -254,7 +247,6 @@ std::vector<WorkloadData> computeAll(const std::string &StoreDir,
           Programs[I].Fig5Unified->RefTable.size());
     SimConfig Base;
     Base.Cache = paperCache();
-    Base.Fusion = !NoFuse;
     std::shared_ptr<MachineProgram> Prog = Programs[I].Fig5Unified;
     uint64_t Hash = StoreDir.empty() ? 0 : traceContentHash(*Prog, Base);
     Engine.schedule(W.Name, W.Name, Base, std::move(Points),
@@ -329,11 +321,6 @@ void usage(std::FILE *To) {
                "                     per workload "
                "(DIR/<workload>.json), accumulated by\n"
                "                     the hinted Figure-5 replay\n"
-               "  --no-fuse          disable superinstruction fusion "
-               "in the simulator\n"
-               "                     (A/B baseline; the report is "
-               "byte-identical\n"
-               "                     either way)\n"
                "  --metrics-out=F    sample telemetry into a JSONL "
                "time series at F\n"
                "  --metrics-interval-ms=N  sampling period (default "
@@ -359,8 +346,6 @@ int main(int argc, char **argv) {
     }
     if (Arg == "--telemetry") {
       TelemetrySummary = true;
-    } else if (Arg == "--no-fuse") {
-      NoFuse = true;
     } else if (Arg.rfind("--trace-out=", 0) == 0) {
       TraceOut = Arg.substr(12);
     } else if (Arg.rfind("--telemetry-json=", 0) == 0) {

@@ -18,15 +18,17 @@
 //   --O1                  --promote + --cleanup
 //   --scheme=S            conventional | bypass | deadtag | unified |
 //                         reuse   (default unified)
-//   --regs=N              allocatable registers (default 24)
+//   --regs=N              allocatable registers (8..64, default 24)
 //   --alloc=P             chaitin | usage  (default chaitin)
 //   --cache-lines=N --assoc=N --line-words=N
+//                         live cache geometry: lines 1..1048576,
+//                         line words 1..1024, at most 4194304 words in
+//                         all; the associativity must divide the lines
 //   --policy=lru|fifo|random|plru|srrip|min|bypass
 //                         replacement policy for the live cache and for
 //                         every --sweep row (min and bypass are
 //                         replay-only: they require --sweep)
 //   --icache              model the instruction cache too
-//   --no-fuse             disable superinstruction fusion (A/B baseline)
 //   --dump-ast --dump-ir --dump-asm --stats --compare
 //   --workload=NAME       use a built-in benchmark instead of a file
 //   --passes=P1,P2,...    run an explicit pass pipeline instead of the
@@ -37,7 +39,8 @@
 //   --no-verify           skip IR verification
 //   --print-after-all     print the IR after every pass to stderr
 //   --sweep=S1,S2,...     replay the run against fully-associative
-//                         caches of the given sizes under --policy
+//                         caches of the given sizes (1..1048576 lines
+//                         each) under --policy
 //                         (hinted and conventional) and print a
 //                         traffic table
 //   --telemetry           print the telemetry summary to stderr on exit
@@ -65,7 +68,9 @@
 #include "urcm/support/Telemetry.h"
 #include "urcm/workloads/Workloads.h"
 
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -128,7 +133,7 @@ void usage(std::FILE *Out) {
       "elim)\n"
       "  --O1                 --promote + --cleanup\n"
       "  --scheme=S           conventional|bypass|deadtag|unified|reuse\n"
-      "  --regs=N             allocatable registers (>= 8, default 24)\n"
+      "  --regs=N             allocatable registers (8..64, default 24)\n"
       "  --alloc=P            chaitin | usage\n"
       "pipeline:\n"
       "  --passes=P1,P2,...   explicit pass pipeline (verify promote "
@@ -142,18 +147,19 @@ void usage(std::FILE *Out) {
       "  --print-after-all    print the IR after every pass to stderr\n"
       "simulation:\n"
       "  --cache-lines=N --assoc=N --line-words=N\n"
+      "                       lines 1..1048576, line words 1..1024, at "
+      "most\n"
+      "                       4194304 words; assoc must divide lines\n"
       "  --policy=P           lru|fifo|random|plru|srrip|min|bypass "
       "(live\n"
       "                       cache and every sweep row; min/bypass are\n"
       "                       replay-only and require --sweep)\n"
       "  --icache             model the instruction cache too\n"
-      "  --no-fuse            disable superinstruction fusion in the\n"
-      "                       predecoded engine (A/B baseline; results\n"
-      "                       are bit-identical either way)\n"
       "  --sweep=S1,S2,...    replay against fully-associative caches "
       "of\n"
-      "                       the given line counts (hinted and "
-      "conventional)\n"
+      "                       the given line counts, 1..1048576 each "
+      "(hinted\n"
+      "                       and conventional)\n"
       "  --trace-store=DIR    persist recorded traces under DIR and "
       "serve\n"
       "                       repeat sweeps from them (skips "
@@ -176,6 +182,56 @@ void usage(std::FILE *Out) {
       "  -Rurcm-classify      per-reference classification remarks on "
       "stderr\n"
       "  --help --version\n");
+}
+
+/// Geometry bounds for --cache-lines/--assoc/--line-words and each
+/// --sweep entry. The live cache holds NumLines * LineWords data words,
+/// so the product is capped too (4M words = 32 MB).
+constexpr uint32_t MaxCacheLines = 1u << 20;
+constexpr uint32_t MaxLineWords = 1u << 10;
+constexpr uint64_t MaxCacheWords = 1u << 22;
+
+/// Parses all of \p Text as a decimal integer in [Min, Max]: no sign,
+/// no whitespace, no trailing characters, no wrap-around.
+bool parseBounded(const char *Text, uint32_t Min, uint32_t Max,
+                  uint32_t &Out) {
+  if (*Text < '0' || *Text > '9')
+    return false;
+  errno = 0;
+  char *End = nullptr;
+  const unsigned long long N = std::strtoull(Text, &End, 10);
+  if (errno == ERANGE || *End != '\0' || N < Min || N > Max)
+    return false;
+  Out = static_cast<uint32_t>(N);
+  return true;
+}
+
+/// Rejects a live cache geometry DataCache cannot build; prints the
+/// reason. Each field is already in range (parseBounded).
+bool checkGeometry(const CliOptions &Cli) {
+  const CacheConfig &C = Cli.Sim.Cache;
+  if (C.NumLines % C.Assoc != 0) {
+    std::fprintf(stderr,
+                 "error: --assoc=%u must divide --cache-lines=%u\n",
+                 C.Assoc, C.NumLines);
+    return false;
+  }
+  if (static_cast<uint64_t>(C.NumLines) * C.LineWords > MaxCacheWords) {
+    std::fprintf(stderr,
+                 "error: --cache-lines=%u x --line-words=%u exceeds "
+                 "%llu cache words\n",
+                 C.NumLines, C.LineWords,
+                 static_cast<unsigned long long>(MaxCacheWords));
+    return false;
+  }
+  if (C.Policy == CachePolicy::TreePLRU &&
+      (C.Assoc > 64 || (C.Assoc & (C.Assoc - 1)) != 0)) {
+    std::fprintf(stderr, "error: --policy=plru needs a power-of-two "
+                         "--assoc of at most 64; got %u\n",
+                 C.Assoc);
+    return false;
+  }
+  return true;
 }
 
 bool parseFlag(CliOptions &Cli, const std::string &Arg) {
@@ -233,10 +289,6 @@ bool parseFlag(CliOptions &Cli, const std::string &Arg) {
     Cli.Sim.ModelICache = true;
     return true;
   }
-  if (Arg == "--no-fuse") {
-    Cli.Sim.Fusion = false;
-    return true;
-  }
   if (const char *V = Value("--scheme=")) {
     std::string S = V;
     if (S == "conventional")
@@ -253,10 +305,8 @@ bool parseFlag(CliOptions &Cli, const std::string &Arg) {
       return false;
     return true;
   }
-  if (const char *V = Value("--regs=")) {
-    Cli.Compile.RegAlloc.NumColors = std::atoi(V);
-    return Cli.Compile.RegAlloc.NumColors >= 8;
-  }
+  if (const char *V = Value("--regs="))
+    return parseBounded(V, 8, mreg::MaxGPR, Cli.Compile.RegAlloc.NumColors);
   if (const char *V = Value("--alloc=")) {
     std::string S = V;
     if (S == "chaitin")
@@ -267,18 +317,12 @@ bool parseFlag(CliOptions &Cli, const std::string &Arg) {
       return false;
     return true;
   }
-  if (const char *V = Value("--cache-lines=")) {
-    Cli.Sim.Cache.NumLines = std::atoi(V);
-    return Cli.Sim.Cache.NumLines > 0;
-  }
-  if (const char *V = Value("--assoc=")) {
-    Cli.Sim.Cache.Assoc = std::atoi(V);
-    return Cli.Sim.Cache.Assoc > 0;
-  }
-  if (const char *V = Value("--line-words=")) {
-    Cli.Sim.Cache.LineWords = std::atoi(V);
-    return Cli.Sim.Cache.LineWords > 0;
-  }
+  if (const char *V = Value("--cache-lines="))
+    return parseBounded(V, 1, MaxCacheLines, Cli.Sim.Cache.NumLines);
+  if (const char *V = Value("--assoc="))
+    return parseBounded(V, 1, MaxCacheLines, Cli.Sim.Cache.Assoc);
+  if (const char *V = Value("--line-words="))
+    return parseBounded(V, 1, MaxLineWords, Cli.Sim.Cache.LineWords);
   if (const char *V = Value("--policy=")) {
     if (!parseCachePolicy(V, Cli.Policy))
       return false;
@@ -296,17 +340,16 @@ bool parseFlag(CliOptions &Cli, const std::string &Arg) {
   }
   if (const char *V = Value("--sweep=")) {
     Cli.SweepSizes.clear();
-    for (const char *P = V; *P;) {
-      char *End = nullptr;
-      long Size = std::strtol(P, &End, 10);
-      if (End == P || Size <= 0)
+    std::string Entry;
+    std::istringstream List(V);
+    while (std::getline(List, Entry, ',')) {
+      uint32_t Size;
+      if (!parseBounded(Entry.c_str(), 1, MaxCacheLines, Size))
         return false;
-      Cli.SweepSizes.push_back(static_cast<uint32_t>(Size));
-      P = *End == ',' ? End + 1 : End;
-      if (End != P && *End != ',')
-        return false;
+      Cli.SweepSizes.push_back(Size);
     }
-    return !Cli.SweepSizes.empty();
+    // getline drops one trailing empty entry ("4,"); reject it too.
+    return !Cli.SweepSizes.empty() && Arg.back() != ',';
   }
   if (const char *V = Value("--trace-store=")) {
     Cli.TraceStoreDir = V;
@@ -332,14 +375,8 @@ bool parseFlag(CliOptions &Cli, const std::string &Arg) {
     Cli.MetricsOut = V;
     return !Cli.MetricsOut.empty();
   }
-  if (const char *V = Value("--metrics-interval-ms=")) {
-    char *End = nullptr;
-    long N = std::strtol(V, &End, 10);
-    if (End == V || *End != '\0' || N <= 0 || N > 60000)
-      return false;
-    Cli.MetricsIntervalMs = static_cast<uint32_t>(N);
-    return true;
-  }
+  if (const char *V = Value("--metrics-interval-ms="))
+    return parseBounded(V, 1, 60000, Cli.MetricsIntervalMs);
   if (Arg == "--telemetry") {
     Cli.TelemetrySummary = true;
     return true;
@@ -648,6 +685,9 @@ int main(int argc, char **argv) {
       return 2;
     }
   }
+
+  if (!checkGeometry(Cli))
+    return 2;
 
   if (Cli.PolicySet && !cachePolicyLiveEligible(Cli.Policy) &&
       Cli.SweepSizes.empty()) {
