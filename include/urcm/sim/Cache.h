@@ -1,30 +1,16 @@
-//===- urcm/sim/Cache.h - Data cache model ----------------------*- C++ -*-===//
+//===- urcm/sim/Cache.h - Cache vocabulary and fast cache -------*- C++ -*-===//
 //
 // Part of the URCM project (Chi & Dietz, PLDI 1989 reproduction).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A set-associative, write-back/write-allocate data cache with real data
-/// storage and the paper's two hint bits:
-///
-///  * bypass (section 3.2 / 4.3): a bypassed read probes the cache first
-///    (UmAm_LOAD); a hit migrates the value to the register and frees the
-///    line with no write-back; a miss reads main memory directly. A
-///    bypassed write goes straight to memory (UmAm_STORE).
-///  * last-reference (section 3.1): a hit tagged last-reference frees the
-///    line; a dirty dead line is dropped without write-back. For line
-///    sizes above one word the line is instead demoted to
-///    least-recently-used and its write-back kept (the paper's footnote-6
-///    bookkeeping caveat).
-///
-/// The paper's preferred configuration is a one-word line (section 1).
-/// Replacement: any cachePolicyLiveEligible() policy — LRU, FIFO,
-/// Random, TreePLRU or SRRIP (Belady MIN and the LivenessBypass
-/// predictor live in the replay kernel, urcm/sim/CacheModel.h, which
-/// replays a recorded trace). For a store miss on a one-word line the
-/// allocate skips the memory fetch (the whole line is overwritten);
-/// multi-word lines fetch on write-allocate.
+/// The cache vocabulary every model shares — write policy, geometry,
+/// event counters, index arithmetic, the access-time model and the
+/// paranoid main memory — plus TwoWayWB1CacheT, the measured fast path
+/// for the paper's canonical live configuration. The generic cache, live
+/// and replay, is CacheModelT (urcm/sim/CacheModel.h), which also
+/// documents the hint-bit semantics every model implements.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,8 +20,8 @@
 #include "urcm/ir/IR.h" // MemRefInfo.
 #include "urcm/sim/CachePolicy.h"
 #include "urcm/sim/RefAttribution.h"
-#include "urcm/support/RNG.h"
 
+#include <cassert>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -58,8 +44,8 @@ struct CacheConfig {
   uint32_t Assoc = 2;
   /// Words per line; the paper assumes 1.
   uint32_t LineWords = 1;
-  /// The live DataCache accepts every cachePolicyLiveEligible() member
-  /// (LRU, FIFO, Random, TreePLRU, SRRIP); MIN and LivenessBypass are
+  /// A live cache accepts every cachePolicyLiveEligible() member (LRU,
+  /// FIFO, Random, TreePLRU, SRRIP); MIN and LivenessBypass are
   /// replay-only (urcm/sim/CacheModel.h).
   CachePolicy Policy = CachePolicy::LRU;
   WritePolicy Write = WritePolicy::WriteBack;
@@ -224,241 +210,36 @@ private:
   std::vector<int64_t> Shadow;
 };
 
-/// The data cache. The hot paths (hit on read/write) are inlined here:
-/// the simulator performs one cache access per simulated memory
-/// instruction (plus one per *fetch* when the I-cache is modeled), so
-/// call overhead and pointer-chasing on this path dominate simulation
-/// wall time. Line metadata is a 32-byte POD and line data lives in one
-/// flat word array indexed by line slot — no per-line allocation, no
-/// indirection, and no divide on the access path (see
-/// CacheGeometry::wordInLine).
-class DataCache {
-public:
-  DataCache(const CacheConfig &Config, MainMemory &Mem);
-
 #if defined(__GNUC__)
 // The simulator's load/store handlers live inside one large dispatch
-// function; GCC's function-growth limit refuses to inline these
-// otherwise-small hot wrappers there, leaving a call on every simulated
-// memory access.
+// function; GCC's function-growth limit refuses to inline the live
+// caches' read/write there (this fast cache's and LiveCache's, see
+// urcm/sim/CacheModel.h), leaving a call on every simulated memory
+// access.
 #define URCM_CACHE_INLINE __attribute__((always_inline)) inline
 #else
 #define URCM_CACHE_INLINE inline
 #endif
 
-  /// Performs a data read at word address \p Addr with hint bits \p Info.
-  URCM_CACHE_INLINE int64_t read(uint64_t Addr, const MemRefInfo &Info) {
-    if (!Info.Bypass) {
-      uint64_t LineAddress = Geometry.lineAddr(Addr);
-      ++Stats.Reads;
-      if (Line *L = findLine(LineAddress)) {
-        ++Stats.ReadHits;
-        if (Attr)
-          ++Attr->row(Info.RefId).Hits;
-        touch(*L);
-        int64_t Value = wordOf(*L, Addr);
-        if (Info.LastRef)
-          freeLine(*L, /*AvoidWriteBack=*/true, Info.RefId);
-        return Value;
-      }
-      return readMiss(Addr, LineAddress, Info);
-    }
-    return readBypass(Addr, Info);
-  }
-
-  /// Performs a data write.
-  URCM_CACHE_INLINE void write(uint64_t Addr, int64_t Value,
-                               const MemRefInfo &Info) {
-    if (!Info.Bypass && Config.Write == WritePolicy::WriteBack) {
-      uint64_t LineAddress = Geometry.lineAddr(Addr);
-      ++Stats.Writes;
-      if (Line *L = findLine(LineAddress)) {
-        ++Stats.WriteHits;
-        if (Attr)
-          ++Attr->row(Info.RefId).Hits;
-        touch(*L);
-        wordOf(*L, Addr) = Value;
-        L->Dirty = true;
-        if (Info.LastRef) {
-          // Dead store: the value will never be read; the line is
-          // reclaimable immediately and the memory copy need not be
-          // produced.
-          freeLine(*L, /*AvoidWriteBack=*/true, Info.RefId);
-        }
-        return;
-      }
-      return writeMiss(Addr, LineAddress, Value, Info);
-    }
-    writeSlow(Addr, Value, Info);
-  }
-
-  /// Writes back all dirty lines (end of program); counted separately.
-  void flush();
-
-  /// Frees every resident line whose addresses lie entirely within
-  /// [\p Lo, \p Hi) — used for code-dead reclamation in the I-cache.
-  /// Dirty lines are written back first (counts as DeadFrees).
-  void invalidateRange(uint64_t Lo, uint64_t Hi);
-
-  const CacheStats &stats() const { return Stats; }
-  const CacheConfig &config() const { return Config; }
-
-  /// Accumulates per-reference attribution (urcm/sim/RefAttribution.h)
-  /// into \p A (not owned; null — the default — disables, at the cost
-  /// of one well-predicted untaken branch per counter site).
-  void setAttribution(RefAttribution *A) { Attr = A; }
-
-  /// True if the line containing \p Addr is currently resident.
-  bool probe(uint64_t Addr) const;
-
-private:
-  struct Line {
-    uint64_t Tag = 0; // Line address.
-    uint64_t LastUsed = 0;
-    uint64_t InsertedAt = 0;
-    bool Valid = false;
-    bool Dirty = false;
-    /// SRRIP re-reference prediction value (0..SRRIPMaxRRPV); only
-    /// maintained under CachePolicy::SRRIP. Takes existing padding, so
-    /// the line metadata stays a 32-byte POD.
-    uint8_t RRPV = 0;
-    /// RefId of the access that installed this line (attribution's
-    /// EvictionsSuffered); meaningful only while attribution is on.
-    uint16_t InstalledBy = MemRefInfo::NoRefId;
-  };
-  static_assert(sizeof(Line) == 32, "line metadata must stay one half-line");
-
-  uint32_t numSets() const { return Geometry.NumSets; }
-  uint64_t lineAddr(uint64_t Addr) const { return Geometry.lineAddr(Addr); }
-  uint32_t setOf(uint64_t LineAddress) const {
-    return Geometry.setOf(LineAddress);
-  }
-
-  /// The backing word of \p Addr within resident line \p L.
-  int64_t &wordOf(Line &L, uint64_t Addr) {
-    return Words[static_cast<size_t>(&L - Lines.data()) * Config.LineWords +
-                 Geometry.wordInLine(Addr)];
-  }
-
-  Line *findLine(uint64_t LineAddress) {
-    Line *Base =
-        Lines.data() + static_cast<size_t>(setOf(LineAddress)) * Config.Assoc;
-    for (uint32_t Way = 0; Way != Config.Assoc; ++Way)
-      if (Base[Way].Valid && Base[Way].Tag == LineAddress)
-        return Base + Way;
-    return nullptr;
-  }
-  const Line *findLine(uint64_t LineAddress) const {
-    return const_cast<DataCache *>(this)->findLine(LineAddress);
-  }
-
-  /// Chooses a victim slot in the set (invalid slot preferred).
-  Line *chooseVictim(uint32_t Set);
-  /// The first invalid way of the set, or null if all ways are valid —
-  /// the slot chooseVictim would pick without consulting the policy.
-  Line *invalidWayOf(uint32_t Set);
-  void evict(Line &L, bool CountAsFlush = false);
-  /// Loads the line for \p LineAddress into the cache (fetching words
-  /// from memory unless \p FetchWords is false) and returns it.
-  Line *allocate(uint64_t LineAddress, bool FetchWords);
-
-  /// Recency update on an access. The tick is universal; TreePLRU and
-  /// SRRIP additionally maintain their own per-set/per-line state
-  /// (shared mechanisms in urcm/sim/CachePolicy.h, so the replay
-  /// kernel's counters can never drift from the live cache's).
-  void touch(Line &L) {
-    L.LastUsed = ++Tick;
-    if (Config.Policy == CachePolicy::SRRIP)
-      L.RRPV = 0;
-    else if (Config.Policy == CachePolicy::TreePLRU && Config.Assoc > 1)
-      treeTouch(&L - Lines.data());
-  }
-  /// Points slot \p Slot's tree path away from it (most recently used).
-  void treeTouch(size_t Slot) {
-    TreeBits[Slot / Config.Assoc] = detail::treePLRUTouch(
-        TreeBits[Slot / Config.Assoc], Config.Assoc,
-        static_cast<uint32_t>(Slot % Config.Assoc));
-  }
-
-  /// Reclaims a dead-hinted line (paper's free-on-last-reference). The
-  /// hot case — one-word line, write-back suppressed — is a pair of
-  /// flag clears, so this lives in the header next to its callers.
-  /// \p ByRef is the accessor whose tag freed the line (attribution).
-  void freeLine(Line &L, bool AvoidWriteBack,
-                uint16_t ByRef = MemRefInfo::NoRefId) {
-    ++Stats.DeadFrees;
-    if (Config.LineWords == 1) {
-      if (L.Dirty && AvoidWriteBack) {
-        ++Stats.DeadWriteBacksAvoided;
-        if (Attr)
-          ++Attr->row(ByRef).DeadWriteBacksSuppressed;
-      } else if (L.Dirty) {
-        CurRef = ByRef;
-        evict(L);
-      }
-      L.Valid = false;
-      L.Dirty = false;
-      return;
-    }
-    // Multi-word lines: other words in the line may still be live, so
-    // the line is only demoted to the set's next victim (paper's
-    // alternative), in whatever state the policy uses for that.
-    L.LastUsed = 0;
-    L.InsertedAt = 0;
-    if (Config.Policy == CachePolicy::SRRIP)
-      L.RRPV = SRRIPMaxRRPV;
-    else if (Config.Policy == CachePolicy::TreePLRU && Config.Assoc > 1) {
-      size_t Slot = &L - Lines.data();
-      TreeBits[Slot / Config.Assoc] = detail::treePLRUPointAt(
-          TreeBits[Slot / Config.Assoc], Config.Assoc,
-          static_cast<uint32_t>(Slot % Config.Assoc));
-    }
-  }
-
-  /// Out-of-line remainder of read(): through-cache miss.
-  int64_t readMiss(uint64_t Addr, uint64_t LineAddress,
-                   const MemRefInfo &Info);
-  /// Out-of-line remainder of read(): bypassed (UmAm_LOAD).
-  int64_t readBypass(uint64_t Addr, const MemRefInfo &Info);
-  /// Out-of-line remainder of write(): write-back miss (write-allocate).
-  void writeMiss(uint64_t Addr, uint64_t LineAddress, int64_t Value,
-                 const MemRefInfo &Info);
-  /// Out-of-line remainder of write(): bypass and write-through.
-  void writeSlow(uint64_t Addr, int64_t Value, const MemRefInfo &Info);
-
-  CacheConfig Config;
-  CacheGeometry Geometry;
-  MainMemory &Mem;
-  CacheStats Stats;
-  RefAttribution *Attr = nullptr;
-  /// RefId of the in-flight access, for eviction attribution (set on
-  /// the out-of-line paths before anything that can call evict()).
-  uint16_t CurRef = MemRefInfo::NoRefId;
-  std::vector<Line> Lines; // Set-major: set s occupies [s*Assoc, ...).
-  /// Line data, flat: line slot i owns [i*LineWords, (i+1)*LineWords).
-  std::vector<int64_t> Words;
-  /// Tree-PLRU node bits, one word per set (TreePLRU only, else empty).
-  std::vector<uint64_t> TreeBits;
-  uint64_t Tick = 0;
-  SplitMix64 Rng;
-};
-
 /// Specialized data cache for the paper's canonical configuration —
 /// write-back, LRU, two-way, one-word lines, power-of-two line count —
 /// which nearly every exhibit simulates. Behavior and counters are
-/// bit-identical to DataCache under an eligible() configuration (the
-/// differential and fuzz tests pin this against the generic cache via
-/// the switch engine). The win is the state encoding, shared with the
-/// sweep engine's LRUTwoWayStream: each set is a two-entry
+/// bit-identical to the generic LiveCache (urcm/sim/CacheModel.h) under
+/// an eligible() configuration (the differential and fuzz tests pin this
+/// against the switch engine, which always runs the generic model). It
+/// stays because it measured faster: cold trace generation through it
+/// beat the generic live cache by 1.28-1.36x on Puzzle and 1.07-1.75x
+/// on Towers (bench/trace_gen). The win is the state encoding, shared
+/// with the sweep engine's LRUTwoWayStream: each set is a two-entry
 /// move-to-front list of tag words (bit 63 = dirty, all-ones =
 /// invalid) with a parallel value array, so the common case — a hit on
 /// the most recent way — is one load and one compare, with no tick
-/// bookkeeping, no way walk, and no 32-byte line metadata.
+/// bookkeeping, no way walk, and no line metadata.
 ///
 /// Invariants: among valid ways of a set, slot 0 is the more recently
 /// used; invalid ways can sit in either slot (an access always leaves
 /// the touched line in slot 0, and dead-tag/bypass frees invalidate in
-/// place). Victim choice matches DataCache::chooseVictim: an invalid
+/// place). Victim choice matches CacheModelT::victimWay: an invalid
 /// way first — the choice *among* invalid ways has no observable
 /// effect — else the LRU way, which is slot 1.
 ///
@@ -499,7 +280,7 @@ public:
     assert(eligible(Config) && "config not supported by the fast cache");
   }
 
-  /// See DataCache::setAttribution. The non-Attrib instantiation has
+  /// See CacheModelT::setAttribution. The non-Attrib instantiation has
   /// no accounting code; callers with a table must pick the Attrib one.
   void setAttribution(RefAttribution *A) {
     assert((Attrib || A == nullptr) &&
@@ -605,7 +386,7 @@ public:
     }
     // UmAm_STORE: straight to memory. A stale cached copy should not
     // exist under the compiler contract; if one does, keep it coherent
-    // (no dirty bit, no recency change — same as DataCache).
+    // (no dirty bit, no recency change — same as CacheModelT).
     ++Stats.BypassWrites;
     if constexpr (Attrib)
       if (Attr)
@@ -746,7 +527,7 @@ private:
   int64_t readBypass(uint64_t Addr, const MemRefInfo &Info) {
     // UmAm_LOAD: probe; a hit migrates the value to the register and
     // frees the line in place (dirty lines write back first — see
-    // DataCache::readBypass for why). A miss reads memory directly.
+    // CacheModelT::access for why). A miss reads memory directly.
     if constexpr (Attrib)
       if (Attr)
         ++Attr->row(Info.RefId).Bypasses;
@@ -796,8 +577,6 @@ using TwoWayWB1Cache = TwoWayWB1CacheT<false>;
 /// every event to a RefId row. Selected by the simulator only when
 /// SimConfig::Attribution is set.
 using TwoWayWB1CacheAttr = TwoWayWB1CacheT<true>;
-
-#undef URCM_CACHE_INLINE
 
 } // namespace urcm
 

@@ -1,4 +1,4 @@
-//===- urcm/sim/CacheModel.h - Policy-generic cache replay ------*- C++ -*-===//
+//===- urcm/sim/CacheModel.h - The generic cache model ----------*- C++ -*-===//
 //
 // Part of the URCM project (Chi & Dietz, PLDI 1989 reproduction).
 //
@@ -6,21 +6,46 @@
 ///
 /// \file
 /// The unified, policy-generic, attribution-aware set-associative cache
-/// model: one write-back/write-through/bypass/dead-store core behind
-/// every stats-only execution mode — sequential replay, the sweep
+/// model: the one definition of the write-back / write-through / bypass
+/// / dead-store semantics behind every execution mode — the simulator's
+/// live data and instruction caches, sequential replay, the sweep
 /// engine's multi-configuration streams, set-sharded parallel replay and
 /// warm trace-store serving. The core is a member template over
 /// `<CachePolicy Policy, bool Attrib>`: each (policy, attribution)
 /// combination is compiled as a straight-line step with `if constexpr`
 /// pruning every other policy's bookkeeping, and `feed()` dispatches
-/// once per chunk, not once per event. Counter semantics are identical
-/// to running the events through a live DataCache with the same
-/// geometry and policy (the differential tests pin this bit for bit);
-/// the specialized TwoWayWB1CacheT / LRUTwoWayStream fast paths keep
-/// their own state encoding and are pinned against this model the same
-/// way.
+/// once per chunk, not once per event.
 ///
-/// Policies beyond the live cache's (see urcm/sim/CachePolicy.h):
+/// The paper's two hint bits:
+///
+///  * bypass (section 3.2 / 4.3): a bypassed read probes the cache first
+///    (UmAm_LOAD); a hit migrates the value to the register and frees the
+///    line, a miss reads main memory directly. A bypassed write goes
+///    straight to memory (UmAm_STORE) and only refreshes a resident copy.
+///  * last-reference (section 3.1): a hit tagged last-reference frees the
+///    line; a dirty dead line is dropped without write-back. For line
+///    sizes above one word the line is instead demoted to the set's next
+///    victim and its write-back kept (the paper's footnote-6 caveat).
+///
+/// Writes allocate under write-back (a one-word line skips the fetch:
+/// the store overwrites it) and go to memory without allocating under
+/// write-through.
+///
+/// The class template's \p Data parameter is a compile-time facet, like
+/// \p Attrib in TwoWayWB1CacheT. CacheModel (Data = false) keeps tags and
+/// counters only: it is what replay runs, and what the simulator's
+/// read-only instruction cache uses. LiveCache (Data = true) also keeps
+/// the line words and moves them to and from a MainMemory: fills copy
+/// words in, dirty evictions and flush() write them back, so the
+/// simulator's paranoid shadow check can catch an unsound hint. Every
+/// data operation sits under `if constexpr (Data)`, so the tag-only
+/// instantiation compiles to exactly the stats-only replay step.
+///
+/// The specialized TwoWayWB1CacheT / LRUTwoWayStream fast paths keep
+/// their own state encoding and are pinned against this model by the
+/// differential tests.
+///
+/// Policies beyond the live ones (see urcm/sim/CachePolicy.h):
 ///
 ///  * MIN — Belady's optimal replacement [Bel66] over the recorded
 ///    trace's future knowledge (computeNextLineUses).
@@ -43,10 +68,12 @@
 
 #include "urcm/sim/Cache.h"
 #include "urcm/sim/Simulator.h"
+#include "urcm/support/RNG.h"
 
 #include <cassert>
 #include <limits>
 #include <memory>
+#include <type_traits>
 
 namespace urcm {
 
@@ -58,11 +85,11 @@ std::shared_ptr<const std::vector<uint64_t>>
 computeNextLineUses(const std::vector<TraceEvent> &Trace,
                     uint32_t LineWords);
 
-/// Stats-only replay of one cache configuration, advanced either one
-/// trace event at a time (step) or a chunk at a time (feed; one policy
-/// dispatch per chunk). Semantics (and counters) are identical to
-/// running the events through a live DataCache with the same geometry.
-class CacheModel {
+/// One cache configuration, advanced either by trace events (feed, one
+/// policy dispatch per chunk) or by live accesses (read/write, one
+/// dispatch per access). \p Data selects the data facet described in
+/// the file comment.
+template <bool Data> class CacheModelT {
   static constexpr uint64_t Never = std::numeric_limits<uint64_t>::max();
   /// LivenessBypass predictor constants: 2-bit saturating counters, a
   /// reference is predicted dead at PredictorDeadThreshold, and every
@@ -87,10 +114,17 @@ class CacheModel {
     uint64_t NextUse = Never; // For MIN.
   };
 
+  /// The data facet's state: line slot i owns Words[i*LineWords, ...).
+  struct WordStore {
+    MainMemory *Mem = nullptr;
+    std::vector<int64_t> Words;
+  };
+  struct NoStore {};
+
 public:
-  /// \p NextUses is required for CachePolicy::MIN (see
-  /// computeNextLineUses; it must have been computed with this config's
-  /// line size) and ignored otherwise.
+  /// The replay constructor (tag-only facet). \p NextUses is required
+  /// for CachePolicy::MIN (see computeNextLineUses; it must have been
+  /// computed with this config's line size) and ignored otherwise.
   ///
   /// \p ShardDiv > 1 puts the model in set-shard mode: the caller feeds
   /// only the trace subsequence whose events map to cache sets of one
@@ -99,10 +133,104 @@ public:
   /// Only cachePolicySetShardEligible() policies keep strictly per-set
   /// replacement state; for them, summing shard counters reproduces the
   /// sequential replay bit for bit.
-  CacheModel(const CacheConfig &Config, CachePolicy Policy,
-             std::shared_ptr<const std::vector<uint64_t>> NextUses =
-                 nullptr,
-             uint32_t ShardDiv = 1)
+  CacheModelT(const CacheConfig &Config, CachePolicy Policy,
+              std::shared_ptr<const std::vector<uint64_t>> NextUses =
+                  nullptr,
+              uint32_t ShardDiv = 1)
+    requires(!Data)
+      : CacheModelT(Config, Policy, std::move(NextUses), ShardDiv,
+                    nullptr) {}
+
+  /// The live data cache over \p Mem, replacing by Config.Policy, which
+  /// must be cachePolicyLiveEligible().
+  CacheModelT(const CacheConfig &Config, MainMemory &Mem)
+    requires Data
+      : CacheModelT(Config, Config.Policy, nullptr, 1, &Mem) {}
+
+  /// Accumulates per-reference attribution (urcm/sim/RefAttribution.h)
+  /// into \p A (not owned; null — the default — disables). Counter
+  /// sites are shared by every mode, so shard tables merged with
+  /// operator+= reproduce a sequential or live run bit for bit.
+  void setAttribution(RefAttribution *A) { Attr = A; }
+
+  /// Processes \p Count consecutive trace events starting at trace
+  /// position \p BaseIndex, with one (policy, attribution) dispatch for
+  /// the whole chunk.
+  void feed(const TraceEvent *Events, size_t Count, uint64_t BaseIndex) {
+    if (Attr)
+      feedImpl<true>(Events, Count, BaseIndex);
+    else
+      feedImpl<false>(Events, Count, BaseIndex);
+  }
+
+  /// Live read of word address \p Addr with hint bits \p Info. Returns
+  /// the delivered word (always 0 in the tag-only facet).
+  URCM_CACHE_INLINE int64_t read(uint64_t Addr, const MemRefInfo &Info) {
+    return live(Addr, /*IsWrite=*/false, Info, 0);
+  }
+
+  /// Live write of \p Value to word address \p Addr.
+  URCM_CACHE_INLINE void write(uint64_t Addr, int64_t Value,
+                               const MemRefInfo &Info) {
+    live(Addr, /*IsWrite=*/true, Info, Value);
+  }
+
+  /// Writes every dirty line back and invalidates all lines (end of
+  /// program); counted as FlushWriteBackWords, not as steady traffic.
+  void flush() {
+    for (ModelLine &L : Lines) {
+      if (L.Valid && L.Dirty) {
+        Stats.FlushWriteBackWords += Config.LineWords;
+        writeBackWords(L);
+      }
+      L.Valid = false;
+      L.Dirty = false;
+    }
+  }
+
+  /// Flushes and returns the final counters. Call exactly once.
+  CacheStats finish() {
+    flush();
+    return Stats;
+  }
+
+  /// Frees every resident line whose addresses lie entirely within
+  /// [\p Lo, \p Hi) — the instruction cache's code-dead hint. A dirty
+  /// line is written back first; each freed line counts as a DeadFree.
+  void invalidateRange(uint64_t Lo, uint64_t Hi) {
+    for (ModelLine &L : Lines) {
+      if (!L.Valid)
+        continue;
+      uint64_t First = L.Tag * Config.LineWords;
+      if (First < Lo || First + Config.LineWords > Hi)
+        continue;
+      if (L.Dirty) {
+        writeBack(L);
+        ++Stats.Evictions;
+        if (Attr) {
+          ++Attr->row(CurRef).EvictionsCaused;
+          ++Attr->row(L.InstalledBy).EvictionsSuffered;
+        }
+      }
+      L.Valid = false;
+      L.Dirty = false;
+      ++Stats.DeadFrees;
+    }
+  }
+
+  /// True if the line holding \p Addr is resident (shard mode: only for
+  /// addresses of this model's shard).
+  bool probe(uint64_t Addr) const {
+    return const_cast<CacheModelT *>(this)->find(Geometry.lineAddr(Addr)) !=
+           nullptr;
+  }
+
+  const CacheStats &stats() const { return Stats; }
+
+private:
+  CacheModelT(const CacheConfig &Config, CachePolicy Policy,
+              std::shared_ptr<const std::vector<uint64_t>> NextUses,
+              uint32_t ShardDiv, MainMemory *Mem)
       : Config(Config), Geometry(Config), Policy(Policy),
         NextUses(std::move(NextUses)), Rng(Config.Seed),
         ShardDiv(ShardDiv),
@@ -114,6 +242,7 @@ public:
                         Config.Assoc) {
     assert(Config.Assoc > 0 && Config.NumLines % Config.Assoc == 0 &&
            "associativity must divide the line count");
+    assert(Config.LineWords > 0 && "line size must be positive");
     assert((Policy != CachePolicy::MIN || this->NextUses) &&
            "MIN needs the next-use index (computeNextLineUses)");
     assert((ShardDiv == 1 || cachePolicySetShardEligible(Policy)) &&
@@ -126,37 +255,15 @@ public:
       TreeBits.assign(Lines.size() / Config.Assoc, 0);
     if (Policy == CachePolicy::LivenessBypass)
       Dead.assign(size_t(1) << 16, 0); // Indexed directly by uint16 RefId.
+    if constexpr (Data) {
+      assert(cachePolicyLiveEligible(Policy) &&
+             "MIN/LivenessBypass are replay-only");
+      Store.Mem = Mem;
+      Store.Words.assign(Lines.size() * Config.LineWords, 0);
+    }
+    (void)Mem;
   }
 
-  /// See DataCache::setAttribution. Counter sites mirror the live
-  /// cache's, so shard tables merged with operator+= reproduce a
-  /// sequential (or live) run bit for bit.
-  void setAttribution(RefAttribution *A) { Attr = A; }
-
-  /// Processes trace event \p E, which sits at position \p Index of the
-  /// trace (the index feeds MIN's future-knowledge lookup).
-  void step(const TraceEvent &E, uint64_t Index) { feed(&E, 1, Index); }
-
-  /// Processes \p Count consecutive trace events starting at trace
-  /// position \p BaseIndex, with one (policy, attribution) dispatch for
-  /// the whole chunk.
-  void feed(const TraceEvent *Events, size_t Count, uint64_t BaseIndex) {
-    if (Attr)
-      feedImpl<true>(Events, Count, BaseIndex);
-    else
-      feedImpl<false>(Events, Count, BaseIndex);
-  }
-
-  /// Counts the remaining dirty lines as end-of-program flush
-  /// write-backs and returns the final counters. Call exactly once.
-  CacheStats finish() {
-    for (ModelLine &L : Lines)
-      if (L.Valid && L.Dirty)
-        Stats.FlushWriteBackWords += Config.LineWords;
-    return Stats;
-  }
-
-private:
   template <bool A>
   void feedImpl(const TraceEvent *Events, size_t Count,
                 uint64_t BaseIndex) {
@@ -182,27 +289,79 @@ private:
   template <CachePolicy P, bool A>
   void feedLoop(const TraceEvent *Events, size_t Count,
                 uint64_t BaseIndex) {
-    for (size_t I = 0; I != Count; ++I)
-      stepOne<P, A>(Events[I], BaseIndex + I);
+    for (size_t I = 0; I != Count; ++I) {
+      const TraceEvent &E = Events[I];
+      access<P, A>(E.Addr, E.IsWrite, E.Info.Bypass, E.Info.LastRef,
+                   E.RefId, BaseIndex + I, 0);
+    }
+  }
+
+  /// One live access: a (policy, attribution) dispatch, then the core.
+  /// The attribution-free dispatch is forced inline into the caller: a
+  /// call per access cost perfbench run-live ~7% more CPU (DESIGN.md
+  /// §16). Profiling runs take the out-of-line call.
+  URCM_CACHE_INLINE int64_t live(uint64_t Addr, bool IsWrite,
+                                 const MemRefInfo &Info, int64_t Value) {
+    if (Attr)
+      return liveAttributed(Addr, IsWrite, Info, Value);
+    return liveImpl<false>(Addr, IsWrite, Info, Value);
+  }
+
+  [[gnu::noinline]] int64_t liveAttributed(uint64_t Addr, bool IsWrite,
+                                           const MemRefInfo &Info,
+                                           int64_t Value) {
+    return liveImpl<true>(Addr, IsWrite, Info, Value);
+  }
+
+  /// Only the live-eligible policies are compiled here.
+  template <bool A>
+  URCM_CACHE_INLINE int64_t liveImpl(uint64_t Addr, bool IsWrite,
+                                     const MemRefInfo &Info,
+                                     int64_t Value) {
+#define URCM_LIVE_CASE(Name)                                                 \
+  case CachePolicy::Name:                                                    \
+    return access<CachePolicy::Name, A>(Addr, IsWrite, Info.Bypass,          \
+                                        Info.LastRef, Info.RefId, 0, Value);
+    switch (Policy) {
+      URCM_LIVE_CASE(LRU)
+      URCM_LIVE_CASE(FIFO)
+      URCM_LIVE_CASE(Random)
+      URCM_LIVE_CASE(TreePLRU)
+      URCM_LIVE_CASE(SRRIP)
+    case CachePolicy::MIN:
+    case CachePolicy::LivenessBypass:
+      break;
+    }
+#undef URCM_LIVE_CASE
+    assert(false && "MIN/LivenessBypass are replay-only");
+    return 0;
   }
 
   /// The unified core. Every policy's variant of the write-back /
   /// write-through / bypass / dead-store semantics is this one
   /// function; `if constexpr` compiles each instantiation down to
-  /// exactly the policy's own bookkeeping.
+  /// exactly the policy's own bookkeeping, and the data facet's word
+  /// moves. \p Value is the word a write stores; the return value is
+  /// the word a read delivers (data facet only).
   template <CachePolicy P, bool A>
-  void stepOne(const TraceEvent &E, uint64_t Index) {
-    uint64_t LA = Geometry.lineAddr(E.Addr);
+  int64_t access(uint64_t Addr, bool IsWrite, bool Bypass, bool LastRef,
+                 uint16_t RefId, uint64_t Index, int64_t Value) {
+    uint64_t LA = Geometry.lineAddr(Addr);
     if constexpr (A)
-      CurRef = E.RefId;
+      CurRef = RefId;
 
-    if (E.Info.Bypass) {
+    if (Bypass) {
       if constexpr (A)
-        ++Attr->row(E.RefId).Bypasses;
-      if (!E.IsWrite) {
+        ++Attr->row(RefId).Bypasses;
+      if (!IsWrite) {
         if (ModelLine *L = find(LA)) {
-          // Migration: dirty lines are written back first (see
-          // DataCache::read for the soundness argument).
+          // Migration: a dirty line is written back first. Dropping it
+          // is only sound when a UmAm_STORE precedes the next load of
+          // the location, and mixed policies (ReuseAware: cached in one
+          // function, bypassed in another) break that guarantee — the
+          // paranoid shadow check caught exactly this (DESIGN.md §8).
+          if constexpr (Data)
+            Value = wordOf(*L, Addr);
           ++Stats.BypassHitMigrations;
           if constexpr (P == CachePolicy::LivenessBypass)
             trainLive(*L); // The migration read is a reuse.
@@ -217,11 +376,21 @@ private:
           }
         } else {
           ++Stats.BypassReads;
+          if constexpr (Data)
+            Value = Store.Mem->read(Addr);
         }
       } else {
+        // UmAm_STORE: straight to memory. A stale cached copy should not
+        // exist under the compiler contract; if one does, keep it
+        // coherent (no dirty bit, no recency change).
         ++Stats.BypassWrites;
+        if constexpr (Data) {
+          Store.Mem->write(Addr, Value);
+          if (ModelLine *L = find(LA))
+            wordOf(*L, Addr) = Value;
+        }
       }
-      return;
+      return Value;
     }
 
     uint32_t Set = localSetOf(LA);
@@ -235,36 +404,38 @@ private:
         break;
       }
 
-    bool WTWrite =
-        E.IsWrite && Config.Write == WritePolicy::WriteThrough;
+    bool WTWrite = IsWrite && Config.Write == WritePolicy::WriteThrough;
 
     if constexpr (P == CachePolicy::LivenessBypass) {
-      if (!L && !WTWrite && Dead[E.RefId] >= PredictorDeadThreshold &&
+      if (!L && !WTWrite && Dead[RefId] >= PredictorDeadThreshold &&
           ++Probe % PredictorProbePeriod != 0) {
         // Predicted dead on arrival: serve from memory without
         // allocating, with the same accounting as a compiler bypass
         // hint. The deterministic probe above lets a reference whose
         // behavior changed retrain.
-        if (E.IsWrite)
+        if (IsWrite)
           ++Stats.BypassWrites;
         else
           ++Stats.BypassReads;
         if constexpr (A)
-          ++Attr->row(E.RefId).Bypasses;
-        return;
+          ++Attr->row(RefId).Bypasses;
+        return Value;
       }
     }
 
-    if (E.IsWrite)
+    if (IsWrite)
       ++Stats.Writes;
     else
       ++Stats.Reads;
 
     if (WTWrite) {
-      // Write-through / no-write-allocate (see DataCache::write).
+      // Write-through / no-write-allocate: memory always gets the word;
+      // the cache is only updated on a hit. Lines are never dirty.
       ++Stats.WriteThroughWords;
+      if constexpr (Data)
+        Store.Mem->write(Addr, Value);
       if constexpr (A) {
-        RefCounters &R = Attr->row(E.RefId);
+        RefCounters &R = Attr->row(RefId);
         ++(L ? R.Hits : R.Misses);
       }
       if (L) {
@@ -272,49 +443,66 @@ private:
         touchHit<P>(*L, Set, Way);
         if constexpr (P == CachePolicy::MIN)
           L->NextUse = (*NextUses)[Index];
-        if (E.Info.LastRef)
-          freeLine<P, A>(*L, Set, Way, E.RefId);
+        if constexpr (Data)
+          wordOf(*L, Addr) = Value;
+        if (LastRef)
+          freeLine<P, A>(*L, Set, Way, RefId);
       }
-      return;
+      return Value;
     }
 
     if (L) {
-      if (E.IsWrite)
+      if (IsWrite)
         ++Stats.WriteHits;
       else
         ++Stats.ReadHits;
       if constexpr (A)
-        ++Attr->row(E.RefId).Hits;
+        ++Attr->row(RefId).Hits;
       touchHit<P>(*L, Set, Way);
     } else {
       if constexpr (A)
-        ++Attr->row(E.RefId).Misses;
+        ++Attr->row(RefId).Misses;
       Way = victimWay<P>(Base, Set);
       L = Base + Way;
       if (L->Valid)
-        evictLine<P, A>(*L);
+        evictLine<P, A>(*L); // The victim's write-back precedes the fill.
       L->Valid = true;
       L->Dirty = false;
       if constexpr (P == CachePolicy::LivenessBypass)
-        L->InstalledBy = E.RefId; // The predictor trains without Attr.
+        L->InstalledBy = RefId; // The predictor trains without Attr.
       else
         L->InstalledBy = CurRef;
       L->Tag = LA;
       L->InsertedAt = ++Tick;
       L->LastUsed = Tick;
       installTouch<P>(*L, Set, Way);
-      bool FetchWords = !E.IsWrite || Config.LineWords > 1;
+      // A one-word write-allocate skips the fetch: the store overwrites
+      // the whole line.
+      bool FetchWords = !IsWrite || Config.LineWords > 1;
       ++Stats.Fills;
-      if (FetchWords)
+      if (FetchWords) {
         Stats.FillWords += Config.LineWords;
+        if constexpr (Data) {
+          int64_t *Words = lineWords(*L);
+          const uint64_t First = LA * Config.LineWords;
+          for (uint32_t W = 0; W != Config.LineWords; ++W)
+            Words[W] = Store.Mem->read(First + W);
+        }
+      }
     }
 
     if constexpr (P == CachePolicy::MIN)
       L->NextUse = (*NextUses)[Index];
-    if (E.IsWrite)
+    if (IsWrite) {
       L->Dirty = true;
-    if (E.Info.LastRef)
-      freeLine<P, A>(*L, Set, Way, E.RefId);
+      if constexpr (Data)
+        wordOf(*L, Addr) = Value;
+    } else if constexpr (Data) {
+      Value = wordOf(*L, Addr);
+    }
+    if (LastRef)
+      freeLine<P, A>(*L, Set, Way, RefId);
+    return Value;
   }
 
   /// The index of LA's set within this model's line array: the global
@@ -333,7 +521,37 @@ private:
     return nullptr;
   }
 
-  /// Recency update on a hit, shared with DataCache::touch mechanisms.
+  /// The data facet's words of resident line \p L.
+  int64_t *lineWords(const ModelLine &L) {
+    return Store.Words.data() +
+           static_cast<size_t>(&L - Lines.data()) * Config.LineWords;
+  }
+  /// The data facet's copy of \p Addr within resident line \p L.
+  int64_t &wordOf(const ModelLine &L, uint64_t Addr) {
+    return lineWords(L)[Geometry.wordInLine(Addr)];
+  }
+
+  /// Copies dirty line \p L's words to memory (data facet; no-op in
+  /// the tag-only one).
+  void writeBackWords(const ModelLine &L) {
+    if constexpr (Data) {
+      const int64_t *Words = lineWords(L);
+      const uint64_t First = L.Tag * Config.LineWords;
+      for (uint32_t W = 0; W != Config.LineWords; ++W)
+        Store.Mem->write(First + W, Words[W]);
+    }
+    (void)L;
+  }
+
+  /// A steady-state write-back of dirty line \p L.
+  void writeBack(const ModelLine &L) {
+    ++Stats.WriteBacks;
+    Stats.WriteBackWords += Config.LineWords;
+    writeBackWords(L);
+  }
+
+  /// Recency update on a hit (mechanisms shared through
+  /// urcm/sim/CachePolicy.h).
   template <CachePolicy P>
   void touchHit(ModelLine &L, uint32_t Set, uint32_t Way) {
     L.LastUsed = ++Tick;
@@ -370,9 +588,9 @@ private:
     (void)Way;
   }
 
-  /// Victim way for a full set (callers take an invalid way first).
-  /// Mechanisms are shared with DataCache::chooseVictim
-  /// (urcm/sim/CachePolicy.h) so the two can never drift.
+  /// Victim way for the set: an invalid way first (the choice among
+  /// invalid ways has no observable effect), else the policy's pick
+  /// (urcm/sim/CachePolicy.h mechanisms).
   template <CachePolicy P>
   uint32_t victimWay(ModelLine *Base, uint32_t Set) {
     for (uint32_t Way = 0; Way != Config.Assoc; ++Way)
@@ -404,10 +622,8 @@ private:
   }
 
   template <CachePolicy P, bool A> void evictLine(ModelLine &L) {
-    if (L.Dirty) {
-      ++Stats.WriteBacks;
-      Stats.WriteBackWords += Config.LineWords;
-    }
+    if (L.Dirty)
+      writeBack(L);
     ++Stats.Evictions;
     if constexpr (A) {
       ++Attr->row(CurRef).EvictionsCaused;
@@ -419,6 +635,8 @@ private:
     L.Dirty = false;
   }
 
+  /// Reclaims a dead-hinted line (the paper's free-on-last-reference).
+  /// \p ByRef is the accessor whose tag freed the line (attribution).
   template <CachePolicy P, bool A>
   void freeLine(ModelLine &L, uint32_t Set, uint32_t Way,
                 uint16_t ByRef) {
@@ -491,7 +709,15 @@ private:
   RefAttribution *Attr = nullptr;
   uint16_t CurRef = MemRefInfo::NoRefId;
   uint64_t Tick = 0;
+  [[no_unique_address]] std::conditional_t<Data, WordStore, NoStore> Store;
 };
+
+/// Tags and counters only: trace replay, and the simulator's read-only
+/// instruction cache.
+using CacheModel = CacheModelT</*Data=*/false>;
+/// Tags, counters and line words over a MainMemory: the simulator's
+/// generic live data cache (the paper geometry takes TwoWayWB1Cache).
+using LiveCache = CacheModelT</*Data=*/true>;
 
 /// Replays \p Trace against a cache with geometry \p Config (the
 /// Config.Policy field is ignored; \p Policy is used instead). Returns

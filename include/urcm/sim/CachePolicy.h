@@ -6,9 +6,9 @@
 ///
 /// \file
 /// The single replacement-policy vocabulary shared by every cache model
-/// in the tree: the live DataCache, the specialized two-way fast caches,
-/// the policy-generic replay kernel (urcm/sim/CacheModel.h) and the
-/// sweep engine's sharded/stack-distance streams.
+/// in the tree: the generic live and replay model (urcm/sim/CacheModel.h),
+/// the specialized two-way fast caches and the sweep engine's
+/// sharded/stack-distance streams.
 ///
 /// The policy families (paper section 3.2 argues dead-line freeing is
 /// compatible with any of them):
@@ -89,8 +89,8 @@ enum : uint8_t {
 namespace detail {
 
 /// Shared victim-selection mechanisms. Each helper returns a way index
-/// in [0, Assoc) and is used verbatim by both the live DataCache and
-/// the replay kernel so the two can never drift. All helpers assume
+/// in [0, Assoc) and is the generic cache model's (urcm/sim/CacheModel.h)
+/// victim choice, live and replayed alike. All helpers assume
 /// every way of the set is valid (callers prefer an invalid way first;
 /// the choice among invalid ways has no observable effect).
 

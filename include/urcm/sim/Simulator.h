@@ -49,7 +49,7 @@ struct TraceEvent {
     Hints(const MemRefInfo &Info)
         : Bypass(Info.Bypass), LastRef(Info.LastRef), Unused(0) {}
     /// TraceEvent hints feed APIs taking full reference info (e.g. the
-    /// live DataCache in tests). The RefId is not part of the hints —
+    /// live caches in tests). The RefId is not part of the hints —
     /// attribution consumers read TraceEvent::RefId directly.
     operator MemRefInfo() const {
       MemRefInfo Info;

@@ -33,7 +33,7 @@
 ///     experiment's single producer publishes (point-parallel replay,
 ///     DESIGN.md §13).
 ///
-/// Replay counters are bit-identical to the live DataCache's (asserted
+/// Replay counters are bit-identical to the live cache's (asserted
 /// by tests/sweepengine_test.cpp), so exhibits that moved from
 /// re-simulation to replay print unchanged numbers.
 ///

@@ -73,7 +73,9 @@ done
 if [ "$RUN_SAN" = 1 ]; then
   for preset in asan-ubsan asan-ubsan-threaded; do
     echo "== sanitizers: $preset =="
-    cmake --preset "$preset" >/dev/null
+    # -Werror through the warning-as-error switch, which keeps the
+    # preset's sanitizer CXX flags (-DCMAKE_CXX_FLAGS would replace them).
+    cmake --preset "$preset" -DCMAKE_COMPILE_WARNING_AS_ERROR=ON >/dev/null
     cmake --build --preset "$preset" -j"$(nproc)"
     # Leak checking stays on (default); halt-on-error comes from
     # -fno-sanitize-recover in the preset flags.
@@ -86,7 +88,7 @@ if [ "$RUN_SAN" = 1 ]; then
   # TSan over the suites that exercise the thread pool, the SPSC trace
   # stream, and point-parallel replay; the full suite under TSan is
   # disproportionately slow and the remaining suites are single-threaded.
-  cmake --preset tsan >/dev/null
+  cmake --preset tsan -DCMAKE_COMPILE_WARNING_AS_ERROR=ON >/dev/null
   cmake --build --preset tsan -j"$(nproc)" --target \
     support_test tracesim_test cachemodel_test sweepengine_test \
     shardedreplay_test tracestore_test refattribution_test

@@ -1,4 +1,4 @@
-//===- Cache.cpp - Data cache model -------------------------------------------===//
+//===- Cache.cpp - Cache counters and names ----------------------------------===//
 //
 // Part of the URCM project (Chi & Dietz, PLDI 1989 reproduction).
 //
@@ -7,8 +7,6 @@
 #include "urcm/sim/Cache.h"
 
 #include "urcm/support/StringUtils.h"
-
-#include <cassert>
 
 using namespace urcm;
 
@@ -45,281 +43,4 @@ uint64_t urcm::memoryAccessCycles(const CacheStats &Stats,
   // on top of the transfer); every bus word pays the memory latency.
   return (Stats.Reads + Stats.Writes) * Model.CacheHitCycles +
          Stats.busTraffic() * Model.MemoryCycles;
-}
-
-DataCache::DataCache(const CacheConfig &Config, MainMemory &Mem)
-    : Config(Config), Geometry(Config), Mem(Mem), Rng(Config.Seed) {
-  assert(Config.NumLines > 0 && "cache must have lines");
-  assert(Config.Assoc > 0 && Config.NumLines % Config.Assoc == 0 &&
-         "associativity must divide the line count");
-  assert(Config.LineWords > 0 && "line size must be positive");
-  assert(cachePolicyLiveEligible(Config.Policy) &&
-         "MIN/LivenessBypass are replay-only (urcm/sim/CacheModel.h)");
-  assert((Config.Policy != CachePolicy::TreePLRU ||
-          (Config.Assoc <= 64 &&
-           (Config.Assoc & (Config.Assoc - 1)) == 0)) &&
-         "TreePLRU needs a power-of-two associativity of at most 64");
-  Lines.resize(Config.NumLines);
-  Words.assign(static_cast<size_t>(Config.NumLines) * Config.LineWords, 0);
-  if (Config.Policy == CachePolicy::TreePLRU)
-    TreeBits.assign(Geometry.NumSets, 0);
-}
-
-bool DataCache::probe(uint64_t Addr) const {
-  return findLine(lineAddr(Addr)) != nullptr;
-}
-
-DataCache::Line *DataCache::chooseVictim(uint32_t Set) {
-  Line *Base = &Lines[static_cast<size_t>(Set) * Config.Assoc];
-  for (uint32_t Way = 0; Way != Config.Assoc; ++Way)
-    if (!Base[Way].Valid)
-      return &Base[Way];
-
-  // Victim mechanisms are shared with the replay kernel
-  // (urcm/sim/CachePolicy.h) so live and replayed counters can never
-  // drift policy by policy.
-  switch (Config.Policy) {
-  case CachePolicy::LRU:
-    return Base + detail::lruVictimWay(Base, Config.Assoc);
-  case CachePolicy::FIFO:
-    return Base + detail::fifoVictimWay(Base, Config.Assoc);
-  case CachePolicy::Random:
-    return &Base[Rng.nextBelow(Config.Assoc)];
-  case CachePolicy::TreePLRU:
-    return Base + (Config.Assoc == 1
-                       ? 0
-                       : detail::treePLRUVictimWay(TreeBits[Set],
-                                                   Config.Assoc));
-  case CachePolicy::SRRIP:
-    return Base + detail::srripVictimWay(Base, Config.Assoc);
-  case CachePolicy::MIN:
-  case CachePolicy::LivenessBypass:
-    break; // Replay-only; rejected by the constructor.
-  }
-  assert(false && "unreachable: replay-only policy in the live cache");
-  return Base;
-}
-
-void DataCache::evict(Line &L, bool CountAsFlush) {
-  if (!L.Valid)
-    return;
-  if (L.Dirty) {
-    const int64_t *LineData =
-        Words.data() + static_cast<size_t>(&L - Lines.data()) * Config.LineWords;
-    for (uint32_t W = 0; W != Config.LineWords; ++W)
-      Mem.write(L.Tag * Config.LineWords + W, LineData[W]);
-    if (CountAsFlush) {
-      Stats.FlushWriteBackWords += Config.LineWords;
-    } else {
-      ++Stats.WriteBacks;
-      Stats.WriteBackWords += Config.LineWords;
-    }
-  }
-  if (!CountAsFlush) {
-    ++Stats.Evictions;
-    if (Attr) {
-      ++Attr->row(CurRef).EvictionsCaused;
-      ++Attr->row(L.InstalledBy).EvictionsSuffered;
-    }
-  }
-  L.Valid = false;
-  L.Dirty = false;
-}
-
-DataCache::Line *DataCache::allocate(uint64_t LineAddress, bool FetchWords) {
-  Line *Victim = chooseVictim(setOf(LineAddress));
-  evict(*Victim);
-  Victim->Valid = true;
-  Victim->Dirty = false;
-  Victim->Tag = LineAddress;
-  Victim->InstalledBy = CurRef;
-  Victim->InsertedAt = ++Tick;
-  if (FetchWords) {
-    int64_t *LineData =
-        Words.data() +
-        static_cast<size_t>(Victim - Lines.data()) * Config.LineWords;
-    for (uint32_t W = 0; W != Config.LineWords; ++W)
-      LineData[W] = Mem.read(LineAddress * Config.LineWords + W);
-    ++Stats.Fills;
-    Stats.FillWords += Config.LineWords;
-  } else {
-    // One-word write-allocate: the store overwrites the whole line, so
-    // no fetch is necessary. The data slot is filled by the caller.
-    ++Stats.Fills;
-  }
-  touch(*Victim);
-  // SRRIP installs at the long re-reference interval; touch() above
-  // already advanced the tick and the TreePLRU tree for this way.
-  if (Config.Policy == CachePolicy::SRRIP)
-    Victim->RRPV = SRRIPInsertRRPV;
-  return Victim;
-}
-
-DataCache::Line *DataCache::invalidWayOf(uint32_t Set) {
-  Line *Base = &Lines[static_cast<size_t>(Set) * Config.Assoc];
-  for (uint32_t Way = 0; Way != Config.Assoc; ++Way)
-    if (!Base[Way].Valid)
-      return &Base[Way];
-  return nullptr;
-}
-
-int64_t DataCache::readMiss(uint64_t Addr, uint64_t LineAddress,
-                            const MemRefInfo &Info) {
-  // Stats.Reads was counted by the inline caller.
-  CurRef = Info.RefId;
-  if (Attr)
-    ++Attr->row(Info.RefId).Misses;
-  if (Line *Slot = Info.LastRef && Config.LineWords == 1
-                       ? invalidWayOf(setOf(LineAddress))
-                       : nullptr) {
-    // Dead load missing the cache, with a free slot in the set: the
-    // allocate + freeLine pair below degenerates to bookkeeping — the
-    // line is filled into the invalid way and immediately invalidated
-    // again, evicting nothing. Reproduce its exact counter and tick
-    // effects (allocate advances the tick twice: InsertedAt, then
-    // touch) without the line-state churn. The invalid slot's tag and
-    // tick fields are dead state either way: every lookup and victim
-    // choice tests Valid first — but TreePLRU's tree bits are live
-    // state the skipped touch would have rewritten, so do that part.
-    ++Stats.Fills;
-    Stats.FillWords += 1;
-    Tick += 2;
-    ++Stats.DeadFrees;
-    if (Config.Policy == CachePolicy::TreePLRU && Config.Assoc > 1)
-      treeTouch(Slot - Lines.data());
-    return Mem.read(Addr);
-  }
-  Line *L = allocate(LineAddress, /*FetchWords=*/true);
-  int64_t Value = wordOf(*L, Addr);
-  if (Info.LastRef)
-    freeLine(*L, /*AvoidWriteBack=*/true, Info.RefId);
-  return Value;
-}
-
-void DataCache::writeMiss(uint64_t Addr, uint64_t LineAddress, int64_t Value,
-                          const MemRefInfo &Info) {
-  // Stats.Writes was counted by the inline caller.
-  CurRef = Info.RefId;
-  if (Attr)
-    ++Attr->row(Info.RefId).Misses;
-  if (Line *Slot = Info.LastRef && Config.LineWords == 1
-                       ? invalidWayOf(setOf(LineAddress))
-                       : nullptr) {
-    // Dead store missing the cache, with a free slot in the set — the
-    // reuse-aware scheme's hottest sequence (a temporary's final store
-    // finds its line already freed by the preceding dead load). The
-    // allocate + freeLine pair degenerates to bookkeeping exactly as in
-    // readMiss above, except the one-word write-allocate skips the
-    // fetch (no FillWords) and the line it would free is dirty, so the
-    // avoided write-back is counted.
-    ++Stats.Fills;
-    Tick += 2;
-    ++Stats.DeadFrees;
-    ++Stats.DeadWriteBacksAvoided;
-    if (Attr)
-      ++Attr->row(Info.RefId).DeadWriteBacksSuppressed;
-    if (Config.Policy == CachePolicy::TreePLRU && Config.Assoc > 1)
-      treeTouch(Slot - Lines.data());
-    return;
-  }
-  // Write-allocate. One-word lines skip the fetch (overwritten).
-  Line *L = allocate(LineAddress, /*FetchWords=*/Config.LineWords > 1);
-  wordOf(*L, Addr) = Value;
-  L->Dirty = true;
-  if (Info.LastRef) {
-    // Dead store: the value will never be read; the line is reclaimable
-    // immediately and the memory copy need not be produced.
-    freeLine(*L, /*AvoidWriteBack=*/true, Info.RefId);
-  }
-}
-
-int64_t DataCache::readBypass(uint64_t Addr, const MemRefInfo &Info) {
-  // UmAm_LOAD: probe; a hit migrates the value to the register and
-  // frees the line. A dirty line is written back first: the paper's
-  // drop-without-write-back is only sound when the register allocator
-  // guarantees a UmAm_STORE precedes the next load of the location,
-  // and mixed policies (ReuseAware: cached in one function, bypassed
-  // in another) break that guarantee — the paranoid shadow check in
-  // the simulator caught exactly this. A miss reads memory directly,
-  // leaving the cache untouched.
-  CurRef = Info.RefId;
-  if (Attr)
-    ++Attr->row(Info.RefId).Bypasses;
-  uint64_t LineAddress = lineAddr(Addr);
-  if (Line *L = findLine(LineAddress)) {
-    int64_t Value = wordOf(*L, Addr);
-    ++Stats.BypassHitMigrations;
-    if (Config.LineWords == 1) {
-      ++Stats.DeadFrees;
-      if (L->Dirty)
-        evict(*L);
-      L->Valid = false;
-      L->Dirty = false;
-    } else {
-      // Multi-word lines cannot be dropped safely; write back and
-      // invalidate instead.
-      evict(*L);
-    }
-    return Value;
-  }
-  ++Stats.BypassReads;
-  return Mem.read(Addr);
-}
-
-void DataCache::writeSlow(uint64_t Addr, int64_t Value,
-                          const MemRefInfo &Info) {
-  uint64_t LineAddress = lineAddr(Addr);
-
-  if (Info.Bypass) {
-    // UmAm_STORE: straight to memory. A stale cached copy should not
-    // exist under the compiler contract; if one does, keep it coherent.
-    ++Stats.BypassWrites;
-    if (Attr)
-      ++Attr->row(Info.RefId).Bypasses;
-    Mem.write(Addr, Value);
-    if (Line *L = findLine(LineAddress))
-      wordOf(*L, Addr) = Value;
-    return;
-  }
-
-  // Write-through / no-write-allocate (the write-back non-bypass path
-  // is fully inline in the header): memory always gets the word; the
-  // cache is only updated on a hit. Lines are never dirty.
-  assert(Config.Write == WritePolicy::WriteThrough);
-  ++Stats.Writes;
-  Line *L = findLine(LineAddress);
-  Mem.write(Addr, Value);
-  ++Stats.WriteThroughWords;
-  if (Attr) {
-    RefCounters &R = Attr->row(Info.RefId);
-    ++(L ? R.Hits : R.Misses);
-  }
-  if (L) {
-    ++Stats.WriteHits;
-    touch(*L);
-    wordOf(*L, Addr) = Value;
-    if (Info.LastRef)
-      freeLine(*L, /*AvoidWriteBack=*/true, Info.RefId);
-  }
-}
-
-void DataCache::flush() {
-  for (Line &L : Lines)
-    evict(L, /*CountAsFlush=*/true);
-}
-
-void DataCache::invalidateRange(uint64_t Lo, uint64_t Hi) {
-  for (Line &L : Lines) {
-    if (!L.Valid)
-      continue;
-    uint64_t First = L.Tag * Config.LineWords;
-    uint64_t Last = First + Config.LineWords;
-    if (First >= Lo && Last <= Hi) {
-      if (L.Dirty)
-        evict(L);
-      L.Valid = false;
-      L.Dirty = false;
-      ++Stats.DeadFrees;
-    }
-  }
 }

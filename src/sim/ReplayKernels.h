@@ -107,7 +107,7 @@ inline bool setShardEligible(const SweepPoint &P) {
 /// Invariants: among valid ways of a set, slot 0 is the more recently
 /// used; invalid ways can sit in either slot (an access always leaves
 /// the touched line in slot 0, and dead-tag/bypass frees invalidate in
-/// place). Victim choice matches DataCache::chooseVictim: an invalid
+/// place). Victim choice matches CacheModelT::victimWay: an invalid
 /// way first, else the LRU way (slot 1).
 ///
 /// With \p ShardDiv = N > 1 the instance replays one set shard: callers
@@ -567,7 +567,7 @@ public:
           continue;
         }
         // UmAm_LOAD: sizes holding the line migrate-and-free it (dirty
-        // copies are written back first, see DataCache::read); the rest
+        // copies are written back first, see CacheModelT::access); the rest
         // read memory directly.
         const uint64_t D = depthOf(It->second.Ts);
         const uint64_t DirtyMin = It->second.DirtyMin;

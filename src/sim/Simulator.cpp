@@ -30,6 +30,7 @@
 
 #include "urcm/sim/Simulator.h"
 
+#include "urcm/sim/CacheModel.h"
 #include "urcm/sim/Predecode.h"
 #include "urcm/support/IntOps.h"
 #include "urcm/support/StringUtils.h"
@@ -145,6 +146,13 @@ private:
   std::vector<TraceEvent> Buf;
 };
 
+/// One instruction fetch through the tag-only I-cache. Out of line on
+/// purpose: the cache's policy dispatch is forced inline, and the
+/// threaded engine fetches from every handler.
+[[gnu::noinline]] void fetch(CacheModel &ICache, uint64_t PC) {
+  ICache.read(PC, MemRefInfo());
+}
+
 template <bool ICacheOn, class DCacheT>
 SimResult runPredecodedImpl(const PredecodedProgram &PP,
                             const SimConfig &Config) {
@@ -153,13 +161,10 @@ SimResult runPredecodedImpl(const PredecodedProgram &PP,
   DCacheT Cache(Config.Cache, Mem);
   Cache.setAttribution(Config.Attribution);
 
-  std::unique_ptr<MainMemory> IMem;
-  std::unique_ptr<DataCache> ICache;
-  if constexpr (ICacheOn) {
-    IMem = std::make_unique<MainMemory>(PP.codeSize() + 64);
-    ICache = std::make_unique<DataCache>(Config.ICache, *IMem);
-  }
-  const MemRefInfo PlainFetch;
+  std::unique_ptr<CacheModel> ICache;
+  if constexpr (ICacheOn)
+    ICache =
+        std::make_unique<CacheModel>(Config.ICache, Config.ICache.Policy);
   RefRecorder Refs(Config, Result);
 
   // Slot preg::Zero reads as constant zero (predecoded no-base loads
@@ -182,7 +187,7 @@ SimResult runPredecodedImpl(const PredecodedProgram &PP,
   do {                                                                       \
     if constexpr (ICacheOn) {                                                \
       ++Result.InstructionFetches;                                           \
-      ICache->read(static_cast<uint64_t>(I - Insts), PlainFetch);            \
+      fetch(*ICache, static_cast<uint64_t>(I - Insts));                      \
     }                                                                        \
   } while (0)
 
@@ -452,8 +457,8 @@ SimResult Simulator::run(const PredecodedProgram &Prog) {
   // The paper's canonical data-cache shape gets the specialized model;
   // the switch engine keeps the generic one, so the differential tests
   // cross-check the two implementations. The instruction cache stays
-  // generic either way (its per-fetch cost is already a hit in slot 0
-  // and it is off in most experiments).
+  // generic and tag-only either way (it only reads, so words cannot
+  // change its counters, and it is off in most experiments).
   SimResult Result;
   if (TwoWayWB1Cache::eligible(Config.Cache)) {
     // Attribution swaps in the profiling instantiation; the default one
@@ -470,8 +475,8 @@ SimResult Simulator::run(const PredecodedProgram &Prog) {
                    : runPredecodedImpl<false, TwoWayWB1Cache>(Prog, Config);
   } else
     Result = Config.ModelICache
-                 ? runPredecodedImpl<true, DataCache>(Prog, Config)
-                 : runPredecodedImpl<false, DataCache>(Prog, Config);
+                 ? runPredecodedImpl<true, LiveCache>(Prog, Config)
+                 : runPredecodedImpl<false, LiveCache>(Prog, Config);
   recordRunTelemetry(Result);
   return Result;
 }
@@ -491,17 +496,14 @@ SimResult Simulator::runSwitch(const MachineProgram &Prog) {
   NumSimSwitch.add();
   SimResult Result;
   MainMemory Mem(Prog.StackTop + 64);
-  DataCache Cache(Config.Cache, Mem);
+  LiveCache Cache(Config.Cache, Mem);
   Cache.setAttribution(Config.Attribution);
 
   // Optional instruction cache: tag-only simulation over code indexes.
-  std::unique_ptr<MainMemory> IMem;
-  std::unique_ptr<DataCache> ICache;
-  if (Config.ModelICache) {
-    IMem = std::make_unique<MainMemory>(Prog.Code.size() + 64);
-    ICache = std::make_unique<DataCache>(Config.ICache, *IMem);
-  }
-  const MemRefInfo PlainFetch;
+  std::unique_ptr<CacheModel> ICache;
+  if (Config.ModelICache)
+    ICache =
+        std::make_unique<CacheModel>(Config.ICache, Config.ICache.Policy);
   RefRecorder Refs(Config, Result);
 
   std::array<int64_t, mreg::NumRegs> R{};
@@ -521,7 +523,7 @@ SimResult Simulator::runSwitch(const MachineProgram &Prog) {
     ++Result.Steps;
     if (ICache) {
       ++Result.InstructionFetches;
-      ICache->read(PC, PlainFetch);
+      fetch(*ICache, PC);
     }
     uint64_t NextPC = PC + 1;
 

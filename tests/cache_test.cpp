@@ -1,4 +1,4 @@
-//===- cache_test.cpp - Data cache model tests ---------------------------------===//
+//===- cache_test.cpp - Live cache semantics tests -----------------------------===//
 //
 // Part of the URCM project (Chi & Dietz, PLDI 1989 reproduction).
 //
@@ -43,7 +43,7 @@ CacheConfig smallCache(uint32_t Lines = 4, uint32_t Assoc = 2,
 TEST(Cache, ColdMissThenHit) {
   MainMemory Mem(1024);
   Mem.write(100, 7);
-  DataCache C(smallCache(), Mem);
+  LiveCache C(smallCache(), Mem);
   EXPECT_EQ(C.read(100, plain()), 7);
   EXPECT_EQ(C.stats().ReadHits, 0u);
   EXPECT_EQ(C.stats().Fills, 1u);
@@ -55,7 +55,7 @@ TEST(Cache, ColdMissThenHit) {
 TEST(Cache, WriteBackOnEviction) {
   MainMemory Mem(1024);
   // Direct-mapped single line: every distinct address evicts.
-  DataCache C(smallCache(1, 1), Mem);
+  LiveCache C(smallCache(1, 1), Mem);
   C.write(5, 55, plain());
   EXPECT_EQ(Mem.read(5), 0) << "write-back: memory not yet updated";
   C.read(9, plain()); // Evicts dirty line 5.
@@ -65,7 +65,7 @@ TEST(Cache, WriteBackOnEviction) {
 
 TEST(Cache, OneWordWriteAllocateSkipsFetch) {
   MainMemory Mem(1024);
-  DataCache C(smallCache(), Mem);
+  LiveCache C(smallCache(), Mem);
   C.write(7, 1, plain());
   EXPECT_EQ(C.stats().Fills, 1u);
   EXPECT_EQ(C.stats().FillWords, 0u) << "no fetch for 1-word allocate";
@@ -73,7 +73,7 @@ TEST(Cache, OneWordWriteAllocateSkipsFetch) {
 
 TEST(Cache, MultiWordWriteAllocateFetches) {
   MainMemory Mem(1024);
-  DataCache C(smallCache(4, 2, 4), Mem);
+  LiveCache C(smallCache(4, 2, 4), Mem);
   C.write(7, 1, plain());
   EXPECT_EQ(C.stats().FillWords, 4u);
 }
@@ -85,7 +85,7 @@ TEST(Cache, LRUVictimSelection) {
   Mem.write(8, 80);
   // One set, two ways (fully associative with 2 lines; addresses map to
   // set addr % 1 == 0... use NumLines=2, Assoc=2 -> 1 set).
-  DataCache C(smallCache(2, 2), Mem);
+  LiveCache C(smallCache(2, 2), Mem);
   C.read(0, plain());
   C.read(4, plain());
   C.read(0, plain()); // 0 is now most recent.
@@ -99,7 +99,7 @@ TEST(Cache, FIFOVictimSelection) {
   MainMemory Mem(1024);
   CacheConfig Cfg = smallCache(2, 2);
   Cfg.Policy = CachePolicy::FIFO;
-  DataCache C(Cfg, Mem);
+  LiveCache C(Cfg, Mem);
   C.read(0, plain());
   C.read(4, plain());
   C.read(0, plain()); // Re-reference does not help under FIFO.
@@ -115,7 +115,7 @@ TEST(Cache, RandomPolicyIsDeterministicPerSeed) {
     CacheConfig Cfg = smallCache(4, 4);
     Cfg.Policy = CachePolicy::Random;
     Cfg.Seed = Seed;
-    DataCache C(Cfg, Mem);
+    LiveCache C(Cfg, Mem);
     for (uint64_t A = 0; A != 64; ++A)
       C.read(A * 37 % 512, plain());
     return C.stats().misses();
@@ -127,7 +127,7 @@ TEST(Cache, RandomPolicyIsDeterministicPerSeed) {
 
 TEST(Cache, LastRefFreesLineAndAvoidsWriteBack) {
   MainMemory Mem(1024);
-  DataCache C(smallCache(), Mem);
+  LiveCache C(smallCache(), Mem);
   C.write(3, 33, plain()); // Dirty line.
   C.read(3, lastRef());    // Final use: line freed, write-back dropped.
   EXPECT_FALSE(C.probe(3));
@@ -140,7 +140,7 @@ TEST(Cache, LastRefFreesLineAndAvoidsWriteBack) {
 
 TEST(Cache, DeadStoreReclaimedWithoutWriteBack) {
   MainMemory Mem(1024);
-  DataCache C(smallCache(), Mem);
+  LiveCache C(smallCache(), Mem);
   C.write(3, 33, lastRef()); // Store of a never-read value.
   EXPECT_FALSE(C.probe(3));
   EXPECT_EQ(C.stats().DeadWriteBacksAvoided, 1u);
@@ -148,7 +148,7 @@ TEST(Cache, DeadStoreReclaimedWithoutWriteBack) {
 
 TEST(Cache, MultiWordLastRefOnlyDemotes) {
   MainMemory Mem(1024);
-  DataCache C(smallCache(2, 2, 4), Mem);
+  LiveCache C(smallCache(2, 2, 4), Mem);
   C.write(8, 1, plain());
   C.read(8, lastRef());
   // Line must survive (other words may be live) but becomes the next
@@ -164,7 +164,7 @@ TEST(Cache, MultiWordLastRefOnlyDemotes) {
 TEST(Cache, BypassReadMissGoesToMemory) {
   MainMemory Mem(1024);
   Mem.write(50, 5);
-  DataCache C(smallCache(), Mem);
+  LiveCache C(smallCache(), Mem);
   EXPECT_EQ(C.read(50, bypass()), 5);
   EXPECT_FALSE(C.probe(50)) << "bypass must not allocate";
   EXPECT_EQ(C.stats().BypassReads, 1u);
@@ -178,7 +178,7 @@ TEST(Cache, BypassReadHitMigratesAndFrees) {
   // policies need this; the paper's drop-without-write-back assumes the
   // full register contract).
   MainMemory Mem(1024);
-  DataCache C(smallCache(), Mem);
+  LiveCache C(smallCache(), Mem);
   C.write(60, 66, plain()); // Dirty cached copy; memory still 0.
   EXPECT_EQ(C.read(60, bypass()), 66) << "must deliver the fresh copy";
   EXPECT_FALSE(C.probe(60));
@@ -193,7 +193,7 @@ TEST(Cache, BypassReadHitMigratesAndFrees) {
 
 TEST(Cache, BypassWriteGoesToMemory) {
   MainMemory Mem(1024);
-  DataCache C(smallCache(), Mem);
+  LiveCache C(smallCache(), Mem);
   C.write(70, 7, bypass());
   EXPECT_EQ(Mem.read(70), 7);
   EXPECT_FALSE(C.probe(70));
@@ -202,7 +202,7 @@ TEST(Cache, BypassWriteGoesToMemory) {
 
 TEST(Cache, BypassWriteUpdatesStaleCachedCopy) {
   MainMemory Mem(1024);
-  DataCache C(smallCache(), Mem);
+  LiveCache C(smallCache(), Mem);
   C.write(80, 1, plain());  // Cached dirty copy = 1.
   C.write(80, 2, bypass()); // Direct write must keep the copy coherent.
   EXPECT_EQ(C.read(80, plain()), 2);
@@ -210,7 +210,7 @@ TEST(Cache, BypassWriteUpdatesStaleCachedCopy) {
 
 TEST(Cache, FlushWritesDirtyLinesSeparately) {
   MainMemory Mem(1024);
-  DataCache C(smallCache(), Mem);
+  LiveCache C(smallCache(), Mem);
   C.write(1, 11, plain());
   C.write(2, 22, plain());
   C.flush();
@@ -222,7 +222,7 @@ TEST(Cache, FlushWritesDirtyLinesSeparately) {
 
 TEST(Cache, TrafficAccounting) {
   MainMemory Mem(1024);
-  DataCache C(smallCache(1, 1), Mem);
+  LiveCache C(smallCache(1, 1), Mem);
   C.read(0, plain());  // Miss: 1 ref + 1 fill word.
   C.read(0, plain());  // Hit: 1 ref.
   C.write(0, 1, plain()); // Hit: 1 ref.
@@ -236,7 +236,7 @@ TEST(Cache, TrafficAccounting) {
 TEST(Cache, SetIndexingSeparatesConflicts) {
   MainMemory Mem(4096);
   // 4 sets x 1 way.
-  DataCache C(smallCache(4, 1), Mem);
+  LiveCache C(smallCache(4, 1), Mem);
   C.read(0, plain());
   C.read(1, plain());
   C.read(2, plain());
@@ -254,7 +254,7 @@ TEST(Cache, WriteThroughKeepsMemoryFresh) {
   MainMemory Mem(1024);
   CacheConfig Cfg = smallCache();
   Cfg.Write = WritePolicy::WriteThrough;
-  DataCache C(Cfg, Mem);
+  LiveCache C(Cfg, Mem);
   C.write(9, 99, plain()); // Miss: memory only, no allocation.
   EXPECT_EQ(Mem.read(9), 99);
   EXPECT_FALSE(C.probe(9));
@@ -272,7 +272,7 @@ TEST(Cache, WriteThroughDeadTagStillFreesLines) {
   MainMemory Mem(1024);
   CacheConfig Cfg = smallCache();
   Cfg.Write = WritePolicy::WriteThrough;
-  DataCache C(Cfg, Mem);
+  LiveCache C(Cfg, Mem);
   C.read(4, plain());
   C.write(4, 44, lastRef());
   EXPECT_FALSE(C.probe(4)) << "dead tag frees even without dirty data";
@@ -283,7 +283,7 @@ TEST(Cache, WriteThroughTraceReplayMatchesLiveCache) {
   MainMemory Mem(4096);
   CacheConfig Cfg = smallCache(8, 2);
   Cfg.Write = WritePolicy::WriteThrough;
-  DataCache Live(Cfg, Mem);
+  LiveCache Live(Cfg, Mem);
   std::vector<TraceEvent> Trace;
   SplitMix64 Rng(77);
   for (int I = 0; I != 2000; ++I) {
@@ -301,4 +301,19 @@ TEST(Cache, WriteThroughTraceReplayMatchesLiveCache) {
   EXPECT_EQ(Live.stats().WriteHits, Replayed.WriteHits);
   EXPECT_EQ(Live.stats().Fills, Replayed.Fills);
   EXPECT_EQ(Live.stats().WriteThroughWords, Replayed.WriteThroughWords);
+}
+
+TEST(Cache, LiveAddressesStay64Bit) {
+  // Trace events carry 32-bit addresses; live accesses must not. Two
+  // addresses 2^32 apart are distinct lines (the I-cache's tag-only
+  // model here, since a data facet would need 2^32 words of memory).
+  CacheModel C(smallCache(2, 2), CachePolicy::LRU);
+  const uint64_t High = (uint64_t(1) << 32) + 5;
+  C.read(5, plain());
+  C.read(High, plain());
+  EXPECT_EQ(C.stats().ReadHits, 0u) << "2^32 + 5 aliased 5";
+  EXPECT_TRUE(C.probe(5));
+  EXPECT_TRUE(C.probe(High));
+  C.read(High, plain());
+  EXPECT_EQ(C.stats().ReadHits, 1u);
 }

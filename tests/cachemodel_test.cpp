@@ -5,9 +5,10 @@
 // The unified CacheModel's contract, pinned here from four directions:
 //
 //  1. live agreement — for every live-eligible policy (LRU, FIFO,
-//     Random, TreePLRU, SRRIP) the model's counters are bit-identical
-//     to driving a DataCache with the same geometry over the same
-//     reference stream, hints included;
+//     Random, TreePLRU, SRRIP) the data facet driven live (LiveCache)
+//     and the tag-only replay produce bit-identical CacheStats and
+//     attribution tables over the same reference stream, hints
+//     included, write-back and write-through;
 //  2. mode agreement — for every policy, sequential replay, set-sharded
 //     replay at several shard counts, and warm trace-store serving all
 //     produce bit-identical CacheStats and attribution tables, over all
@@ -237,51 +238,49 @@ TEST(CacheModelProperties, SRRIPAgingBoundsAndTermination) {
 }
 
 //===----------------------------------------------------------------------===//
-// Live agreement: model == DataCache for every live-eligible policy.
+// Live agreement: the data facet == replay for every live-eligible policy.
 //===----------------------------------------------------------------------===//
 
-TEST(CacheModelLive, MatchesDataCacheForEveryLivePolicy) {
+TEST(CacheModelLive, DataFacetMatchesReplayForEveryLivePolicy) {
+  CacheConfig WriteThrough = config(16, 4);
+  WriteThrough.Write = WritePolicy::WriteThrough;
   for (CachePolicy P : AllPolicies) {
     if (!cachePolicyLiveEligible(P))
       continue;
-    for (auto Geometry :
-         {config(16, 4), config(128, 2), config(32, 2, 2), config(8, 8)}) {
+    for (auto Geometry : {config(16, 4), config(128, 2), config(32, 2, 2),
+                          config(8, 8), WriteThrough}) {
       Geometry.Policy = P;
       for (uint64_t Seed : {11u, 31u}) {
         auto Trace = hintedTrace(Seed, 8000, 300);
         MainMemory Mem(4096);
-        DataCache Live(Geometry, Mem);
+        LiveCache Live(Geometry, Mem);
+        RefAttribution LiveAttr(200);
+        Live.setAttribution(&LiveAttr);
         for (const TraceEvent &E : Trace) {
+          MemRefInfo Info = E.Info;
+          Info.RefId = E.RefId;
           if (E.IsWrite)
-            Live.write(E.Addr, 1, E.Info);
+            Live.write(E.Addr, 1, Info);
           else
-            Live.read(E.Addr, E.Info);
+            Live.read(E.Addr, Info);
         }
-        CacheStats Replayed = replayTrace(Trace, Geometry, P);
-        CacheStats LiveStats = Live.stats();
-        // Latency ticks are the live cache's own; every traffic counter
-        // must agree.
-        LiveStats.FlushWriteBackWords = Replayed.FlushWriteBackWords;
-        EXPECT_EQ(LiveStats.Reads, Replayed.Reads);
-        EXPECT_EQ(LiveStats.Writes, Replayed.Writes);
-        EXPECT_EQ(LiveStats.ReadHits, Replayed.ReadHits)
+        Live.flush();
+
+        CacheModel Replay(Geometry, P);
+        RefAttribution ReplayAttr(200);
+        Replay.setAttribution(&ReplayAttr);
+        Replay.feed(Trace.data(), Trace.size(), 0);
+        const CacheStats Replayed = Replay.finish();
+
+        EXPECT_EQ(Live.stats(), Replayed)
             << cachePolicyName(P) << " seed " << Seed << " lines "
-            << Geometry.NumLines << "x" << Geometry.Assoc;
-        EXPECT_EQ(LiveStats.WriteHits, Replayed.WriteHits)
-            << cachePolicyName(P) << " seed " << Seed;
-        EXPECT_EQ(LiveStats.Fills, Replayed.Fills)
-            << cachePolicyName(P) << " seed " << Seed;
-        EXPECT_EQ(LiveStats.FillWords, Replayed.FillWords);
-        EXPECT_EQ(LiveStats.WriteBacks, Replayed.WriteBacks)
-            << cachePolicyName(P) << " seed " << Seed;
-        EXPECT_EQ(LiveStats.WriteBackWords, Replayed.WriteBackWords);
-        EXPECT_EQ(LiveStats.Evictions, Replayed.Evictions)
-            << cachePolicyName(P) << " seed " << Seed;
-        EXPECT_EQ(LiveStats.DeadFrees, Replayed.DeadFrees);
-        EXPECT_EQ(LiveStats.DeadWriteBacksAvoided,
-                  Replayed.DeadWriteBacksAvoided);
-        EXPECT_EQ(LiveStats.BypassReads, Replayed.BypassReads);
-        EXPECT_EQ(LiveStats.BypassWrites, Replayed.BypassWrites);
+            << Geometry.NumLines << "x" << Geometry.Assoc << " "
+            << writePolicyName(Geometry.Write) << "\n  live:   "
+            << Live.stats().str() << "\n  replay: " << Replayed.str();
+        EXPECT_EQ(LiveAttr, ReplayAttr)
+            << cachePolicyName(P) << " seed " << Seed << " lines "
+            << Geometry.NumLines << "x" << Geometry.Assoc << " "
+            << writePolicyName(Geometry.Write);
       }
     }
   }

@@ -11,7 +11,7 @@
 //  2. serving invariance — the engine produces bit-identical tables
 //     with no store, a cold store, and a warm store (where the trace is
 //     decoded from disk and the Simulator never runs);
-//  3. live equivalence — the replayed table equals the live DataCache's
+//  3. live equivalence — the replayed table equals the live caches'
 //     (SimConfig::Attribution) for the same geometry and hints;
 //  4. conservation — attribution rows sum to the aggregate CacheStats
 //     (hits, misses, bypasses, dead write-backs, evictions), so no
@@ -242,7 +242,7 @@ TEST(RefAttribution, UnnumberedEventsLandInOverflowRow) {
 //===----------------------------------------------------------------------===//
 // The acceptance grid: six paper benchmarks, engine-served attribution,
 // point-parallel x {no store, cold, warm}, bit-identical to each point
-// replayed alone — and equal to the live DataCache's table for the same
+// replayed alone — and equal to the live caches' tables for the same
 // geometry.
 //===----------------------------------------------------------------------===//
 
@@ -340,24 +340,29 @@ TEST(RefAttribution, LiveSimulatorMatchesEngineReplay) {
   ASSERT_NE(W, nullptr);
   std::shared_ptr<MachineProgram> Prog = compileEraUnified(*W);
   const uint32_t NumRefs = static_cast<uint32_t>(Prog->RefTable.size());
-
-  // Live: the DataCache accumulates attribution during simulation.
-  RefAttribution Live(NumRefs);
-  SimConfig Sim;
-  Sim.Cache = config(128, 2);
-  Sim.Attribution = &Live;
-  Simulator S(Sim);
-  SimResult R = S.run(*Prog);
-  ASSERT_TRUE(R.ok()) << R.Error;
-
-  // Replayed: the engine's hinted point at the same geometry.
   ThreadPool Pool(4);
-  std::vector<SweepPoint> Points = {
-      {config(128, 2), CachePolicy::LRU, false}};
-  Points[0].AttributionRefs = NumRefs;
-  const std::vector<RefAttribution> Replayed =
-      engineAttribution(Prog, Points, "", Pool);
-  EXPECT_EQ(Replayed[0], Live);
+
+  // The paper geometry runs the two-way fast cache under the predecoded
+  // engine; the four-way one, and the switch engine always, run the
+  // generic LiveCache. Each live table must equal the engine's replay.
+  for (const CacheConfig &Geometry : {config(128, 2), config(128, 4)}) {
+    std::vector<SweepPoint> Points = {{Geometry, CachePolicy::LRU, false}};
+    Points[0].AttributionRefs = NumRefs;
+    const std::vector<RefAttribution> Replayed =
+        engineAttribution(Prog, Points, "", Pool);
+    for (SimEngine Engine : {SimEngine::Predecoded, SimEngine::Switch}) {
+      RefAttribution Live(NumRefs);
+      SimConfig Sim;
+      Sim.Cache = Geometry;
+      Sim.Engine = Engine;
+      Sim.Attribution = &Live;
+      SimResult R = Simulator(Sim).run(*Prog);
+      ASSERT_TRUE(R.ok()) << R.Error;
+      EXPECT_EQ(Replayed[0], Live)
+          << Geometry.Assoc << "-way, "
+          << (Engine == SimEngine::Switch ? "switch" : "predecoded");
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//

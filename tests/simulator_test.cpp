@@ -572,3 +572,96 @@ TEST(EngineDifferential, MaxStepsStopsExactly) {
     expectSameSimResult(P, S, What);
   }
 }
+
+// The paranoid shadow check is why the live caches carry data at all.
+// These hand-built programs pin that it fires on an unsound hint and
+// stays quiet on the bypass write-back guard (DESIGN.md §8), on the
+// paper-geometry fast cache, the generic cache and the switch oracle.
+namespace {
+
+MInst liInst(uint32_t Rd, int64_t Imm) {
+  MInst I;
+  I.Op = MOpcode::Li;
+  I.Rd = Rd;
+  I.Imm = Imm;
+  return I;
+}
+
+MInst memInst(MOpcode Op, uint32_t Reg, int64_t Addr, bool Bypass,
+              bool LastRef) {
+  MInst I;
+  I.Op = Op;
+  (Op == MOpcode::Ld ? I.Rd : I.Rs2) = Reg;
+  I.Imm = Addr; // Absolute: base register absent.
+  I.MemInfo.Bypass = Bypass;
+  I.MemInfo.LastRef = LastRef;
+  return I;
+}
+
+MInst printInst(uint32_t Rs) {
+  MInst I;
+  I.Op = MOpcode::Print;
+  I.Rs1 = Rs;
+  return I;
+}
+
+MInst haltInst() {
+  MInst I;
+  I.Op = MOpcode::Halt;
+  return I;
+}
+
+/// Runs \p Prog on the predecoded engine at the paper geometry (the
+/// two-way fast cache) and at 4-way FIFO (the generic cache), and on
+/// the switch engine.
+std::vector<std::pair<std::string, SimResult>>
+runOnEveryLiveCache(const MachineProgram &Prog) {
+  std::vector<std::pair<std::string, SimResult>> Runs;
+  SimConfig Paper;
+  Runs.emplace_back("predecoded paper geometry", Simulator(Paper).run(Prog));
+  SimConfig Generic;
+  Generic.Cache.Assoc = 4;
+  Generic.Cache.Policy = CachePolicy::FIFO;
+  Runs.emplace_back("predecoded 4-way FIFO", Simulator(Generic).run(Prog));
+  SimConfig Switch;
+  Switch.Engine = SimEngine::Switch;
+  Runs.emplace_back("switch", Simulator(Switch).run(Prog));
+  return Runs;
+}
+
+} // namespace
+
+TEST(Simulator, ParanoidDetectsUnsoundDeadStore) {
+  // A store tagged last-reference whose value is read again: the cache
+  // drops the dirty line, memory never sees 11, and the load gets 0.
+  MachineProgram Prog;
+  Prog.Code = {liInst(5, 11),
+               memInst(MOpcode::St, 5, 0x40, false, /*LastRef=*/true),
+               memInst(MOpcode::Ld, 3, 0x40, false, false), haltInst()};
+  for (const auto &[What, R] : runOnEveryLiveCache(Prog)) {
+    ASSERT_TRUE(R.ok()) << What << ": " << R.Error;
+    EXPECT_EQ(R.CoherenceViolations, 1u) << What;
+  }
+}
+
+TEST(Simulator, BypassHitOfDirtyLineWritesBack) {
+  // A cached store leaves a dirty line; the first bypass load hits and
+  // migrates it, writing it back, so the second bypass load, which
+  // misses, reads 11 from memory.
+  MachineProgram Prog;
+  Prog.Code = {liInst(5, 11),
+               memInst(MOpcode::St, 5, 0x40, false, false),
+               memInst(MOpcode::Ld, 3, 0x40, /*Bypass=*/true, false),
+               memInst(MOpcode::Ld, 4, 0x40, /*Bypass=*/true, false),
+               printInst(3),
+               printInst(4),
+               haltInst()};
+  for (const auto &[What, R] : runOnEveryLiveCache(Prog)) {
+    ASSERT_TRUE(R.ok()) << What << ": " << R.Error;
+    EXPECT_EQ(R.CoherenceViolations, 0u) << What;
+    EXPECT_EQ(R.Output, (std::vector<int64_t>{11, 11})) << What;
+    EXPECT_EQ(R.Cache.BypassHitMigrations, 1u) << What;
+    EXPECT_EQ(R.Cache.BypassReads, 1u) << What;
+    EXPECT_EQ(R.Cache.WriteBacks, 1u) << What;
+  }
+}

@@ -6,7 +6,7 @@
 // shortcut (lock-step multi-replay, the two-way LRU kernel, the
 // hole-extended stack-distance pass, hint-stripped conventional replay)
 // must reproduce the exact counters of the slow path it replaces. These
-// tests pin that down against CacheModel, the live DataCache and
+// tests pin that down against CacheModel, the live caches and
 // full conventional-scheme simulations.
 //
 //===----------------------------------------------------------------------===//

@@ -105,13 +105,13 @@ TEST(TraceSim, MINBeatsOrTiesEveryPolicyOnRandomTraces) {
 }
 
 TEST(TraceSim, LRUMatchesLiveCacheSemantics) {
-  // The replayer and DataCache must agree on hit/miss/fill/write-back
+  // Replay and the live data facet must agree on hit/miss/fill/write-back
   // accounting for the same reference stream.
   auto Trace = randomTrace(11, 2000, 256);
   CacheConfig Geometry = config(16, 4);
 
   MainMemory Mem(4096);
-  DataCache Live(Geometry, Mem);
+  LiveCache Live(Geometry, Mem);
   for (const TraceEvent &E : Trace) {
     if (E.IsWrite)
       Live.write(E.Addr, 1, E.Info);

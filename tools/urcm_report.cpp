@@ -348,8 +348,16 @@ int main(int argc, char **argv) {
       TelemetrySummary = true;
     } else if (Arg.rfind("--trace-out=", 0) == 0) {
       TraceOut = Arg.substr(12);
+      if (TraceOut.empty()) {
+        std::fprintf(stderr, "error: --trace-out expects a file\n");
+        return 2;
+      }
     } else if (Arg.rfind("--telemetry-json=", 0) == 0) {
       TelemetryJson = Arg.substr(17);
+      if (TelemetryJson.empty()) {
+        std::fprintf(stderr, "error: --telemetry-json expects a file\n");
+        return 2;
+      }
     } else if (Arg.rfind("--profile-refs=", 0) == 0) {
       ProfileDir = Arg.substr(15);
       if (ProfileDir.empty()) {
@@ -403,9 +411,14 @@ int main(int argc, char **argv) {
     telemetry::setThreadName("main");
   }
   std::unique_ptr<telemetry::MetricsSampler> Sampler;
-  if (!MetricsOut.empty())
+  if (!MetricsOut.empty()) {
     Sampler = std::make_unique<telemetry::MetricsSampler>(
         MetricsOut, MetricsIntervalMs);
+    if (!Sampler->active()) {
+      std::fprintf(stderr, "error: cannot write '%s'\n", MetricsOut.c_str());
+      return 2;
+    }
+  }
 
   if (!OutputFile.empty()) {
     Out = std::fopen(OutputFile.c_str(), "w");

@@ -206,7 +206,7 @@ bool parseBounded(const char *Text, uint32_t Min, uint32_t Max,
   return true;
 }
 
-/// Rejects a live cache geometry DataCache cannot build; prints the
+/// Rejects a live cache geometry the generic cache cannot build; prints the
 /// reason. Each field is already in range (parseBounded).
 bool checkGeometry(const CliOptions &Cli) {
   const CacheConfig &C = Cli.Sim.Cache;
@@ -738,9 +738,15 @@ int main(int argc, char **argv) {
       telemetry::enableClassifyCapture(stderr);
   }
   std::unique_ptr<telemetry::MetricsSampler> Sampler;
-  if (!Cli.MetricsOut.empty())
+  if (!Cli.MetricsOut.empty()) {
     Sampler = std::make_unique<telemetry::MetricsSampler>(
         Cli.MetricsOut, Cli.MetricsIntervalMs);
+    if (!Sampler->active()) {
+      std::fprintf(stderr, "error: cannot write '%s'\n",
+                   Cli.MetricsOut.c_str());
+      return 2;
+    }
+  }
 
   int Code = runTool(Cli, Source);
 
