@@ -72,8 +72,8 @@ static_assert(sizeof(TraceEvent) == 8, "trace events are streamed in "
 /// Consumer of the data-reference trace in fixed-size chunks, fed while
 /// the simulation is still running. This is the streaming alternative to
 /// SimConfig::RecordTrace: peak trace memory is O(chunk) instead of
-/// O(trace), and a consumer on another thread (see
-/// urcm/sim/TraceStream.h) can replay chunk k while the simulator
+/// O(trace), and replay threads (the sweep engine's replay window,
+/// urcm/sim/SweepEngine.h) can replay chunk k while the simulator
 /// produces chunk k+1. Chunk boundaries are an implementation detail:
 /// the concatenation of all chunks is exactly the trace RecordTrace
 /// would have recorded.

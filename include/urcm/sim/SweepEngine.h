@@ -120,7 +120,8 @@ replaySweepPoints(const std::vector<TraceEvent> &Trace,
 
 /// Chunk-driven replay of a set of sweep points: the streaming form of
 /// replaySweepPoints, advanced one trace chunk at a time so replay can
-/// start before generation finishes (see urcm/sim/TraceStream.h).
+/// start before generation finishes (SweepEngine feeds it from the
+/// simulator's TraceSink).
 /// Feeding the whole trace as one chunk is exactly the batch call — the
 /// batch entry points are wrappers over this class, so the two modes
 /// cannot diverge. Internally dispatches to the same kernels: the
@@ -180,8 +181,9 @@ private:
 class SweepEngine {
 public:
   /// Runs the functional simulator for this experiment's program under
-  /// \p Config (the engine sets RecordTrace and the trace reserve hint
-  /// before calling). Must be thread-safe across distinct experiments.
+  /// \p Config (the engine sets the trace Sink, or RecordTrace and the
+  /// trace reserve hint, before calling), on a pool thread. Must be
+  /// thread-safe across distinct experiments.
   using Producer = std::function<SimResult(const SimConfig &)>;
 
   /// \p Pool null uses ThreadPool::global().

@@ -67,12 +67,12 @@
 ///
 /// ## Replay integration
 ///
-/// streamStoredTrace() decodes chunks on a dedicated thread and feeds
-/// them, in order, to a consumer on the calling thread through the same
-/// recycled-buffer SPSC pipeline live generation uses
-/// (urcm/sim/TraceStream.h): decode overlaps replay, each decoded chunk
-/// is recycled as soon as its replay consumers finish, and peak memory
-/// stays O(chunk) exactly as on the live streaming path.
+/// The sweep engine decodes a served trace chunk by chunk with next() on
+/// the experiment's own pool thread and hands each chunk to the same
+/// replay window live simulation feeds (urcm/sim/SweepEngine.h): each
+/// decoded buffer is recycled as soon as its replay groups finish, so
+/// peak memory stays O(chunk) exactly as on the live streaming path.
+/// streamStoredTrace() is the plain decode loop for other consumers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -81,7 +81,6 @@
 
 #include "urcm/codegen/MachineIR.h"
 #include "urcm/sim/Simulator.h"
-#include "urcm/sim/TraceStream.h"
 #include "urcm/support/Diagnostics.h"
 
 #include <cstdint>
@@ -168,25 +167,6 @@ private:
   std::vector<uint8_t> Encoded;    ///< Reused encode scratch.
 };
 
-/// A recording-only TraceSink: every chunk is appended to the writer
-/// and the (cleared) buffer handed straight back to the producer, so a
-/// cold run with no replay consumers can still record its trace with
-/// zero steady-state allocation. Also usable as the producer-side tap
-/// of streamTrace() to tee recording off a replayed stream.
-class TraceRecordSink : public TraceSink {
-public:
-  explicit TraceRecordSink(TraceStoreWriter &Writer) : Writer(Writer) {}
-
-  std::vector<TraceEvent> chunk(std::vector<TraceEvent> Chunk) override {
-    Writer.append(Chunk.data(), Chunk.size());
-    Chunk.clear();
-    return Chunk;
-  }
-
-private:
-  TraceStoreWriter &Writer;
-};
-
 /// Reads one store file. open() fully validates before anything is
 /// served; next() then decodes chunk by chunk into a caller-provided
 /// buffer (capacity reused across calls).
@@ -248,22 +228,13 @@ private:
 };
 
 /// Feeds a validated reader's trace to \p Consume chunk by chunk, in
-/// order, with decode running on a dedicated thread and delivery
-/// through the recycled-buffer SPSC pipeline (peak memory O(chunk);
-/// decode overlaps the consumer's replay work). Returns false if decode
-/// failed mid-stream — the consumer may have seen a prefix of the
-/// trace, so on false the caller must discard its replay state and fall
-/// back to live simulation.
+/// order, decoding on the calling thread into one reused buffer (peak
+/// memory O(chunk)). Returns false if decode failed mid-stream — the
+/// consumer may have seen a prefix of the trace, so on false the caller
+/// must discard its replay state and fall back to live simulation.
 bool streamStoredTrace(
     TraceStoreReader &Reader,
-    const std::function<void(const TraceEvent *, size_t)> &Consume,
-    size_t QueueDepth = 4);
-
-/// streamStoredTrace with a buffer-taking consumer (see ChunkConsumer in
-/// urcm/sim/TraceStream.h).
-bool streamStoredTrace(TraceStoreReader &Reader,
-                       const ChunkConsumer &Consume,
-                       size_t QueueDepth = 4);
+    const std::function<void(const TraceEvent *, size_t)> &Consume);
 
 namespace detail {
 

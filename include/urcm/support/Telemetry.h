@@ -158,7 +158,7 @@ private:
 };
 
 /// Names the calling thread in trace exports ("pool-3",
-/// "trace-producer", ...). Cheap; safe to call with telemetry disabled.
+/// "main", ...). Cheap; safe to call with telemetry disabled.
 void setThreadName(std::string Name);
 
 /// Aggregated totals for one span name (JSON snapshot form).

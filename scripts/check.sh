@@ -85,9 +85,10 @@ if [ "$RUN_SAN" = 1 ]; then
   done
 
   echo "== sanitizers: tsan (parallel sim suites) =="
-  # TSan over the suites that exercise the thread pool, the SPSC trace
-  # stream, and point-parallel replay; the full suite under TSan is
-  # disproportionately slow and the remaining suites are single-threaded.
+  # TSan over the suites that exercise the thread pool, the streamed
+  # replay window, and point-parallel replay; the full suite under TSan
+  # is disproportionately slow and the remaining suites are
+  # single-threaded.
   cmake --preset tsan -DCMAKE_COMPILE_WARNING_AS_ERROR=ON >/dev/null
   cmake --build --preset tsan -j"$(nproc)" --target \
     support_test tracesim_test cachemodel_test sweepengine_test \

@@ -46,8 +46,8 @@
 // lock-step replayer, the stack-distance sweep) is written as a
 // chunk-fed stream — construct, feed(events), finish() — and the batch
 // entry points (replayTraceMulti, sweepLRUStackDistance,
-// replaySweepPoints) are one-chunk wrappers, so the streaming pipeline
-// (urcm/sim/TraceStream.h) and the materialized-trace path execute the
+// replaySweepPoints) are one-chunk wrappers, so the streamed replay
+// (StreamedReplay below) and the materialized-trace path execute the
 // same per-event code and cannot diverge. The stack-distance stream's
 // Fenwick trees grow geometrically because a streaming consumer does
 // not know the trace length up front; the batch wrapper pre-sizes them
@@ -60,7 +60,6 @@
 #include "ReplayKernels.h"
 
 #include "urcm/sim/TraceStore.h"
-#include "urcm/sim/TraceStream.h"
 #include "urcm/support/Diagnostics.h"
 #include "urcm/support/Telemetry.h"
 
@@ -98,8 +97,14 @@ URCM_HISTOGRAM(ReplayImbalance, "sim.replay.imbalance",
                "Busiest replay group's share of a replay's busy time, "
                "times the group count, in percent (100 = balanced)");
 URCM_STAT(NumInlineChunks, "sim.replay.inline-chunks",
-          "Trace chunks the publishing thread replayed itself for a "
+          "Trace chunks the producing thread replayed itself for a "
           "group no pool thread had claimed (saturated pool)");
+URCM_STAT(NumTraceChunks, "trace.chunks", "Trace chunks streamed");
+URCM_STAT(NumTraceEvents, "trace.events", "Trace events streamed");
+URCM_STAT(NumProducerStalls, "trace.producer-stalls",
+          "Producer waited for a free replay-window slot");
+URCM_STAT(NumConsumerStalls, "trace.consumer-stalls",
+          "Replay group waited for the next chunk");
 URCM_STAT(NumPolicyLRUPoints, "sim.policy.lru",
           "Sweep points answered under the LRU policy");
 URCM_STAT(NumPolicyFIFOPoints, "sim.policy.fifo",
@@ -372,8 +377,7 @@ groupPoints(const std::vector<SweepPoint> &Points, size_t MaxGroups) {
                       const std::vector<size_t> &B) {
                      return A.size() > B.size();
                    });
-  std::vector<std::vector<size_t>> Groups(
-      std::max<size_t>(1, std::min(MaxGroups, Units.size())));
+  std::vector<std::vector<size_t>> Groups(std::min(MaxGroups, Units.size()));
   for (const std::vector<size_t> &Unit : Units) {
     std::vector<size_t> &Lightest = *std::min_element(
         Groups.begin(), Groups.end(),
@@ -403,7 +407,7 @@ struct ReplayGroup {
   /// The next chunk this group replays; written under Replaying.
   std::atomic<uint64_t> Next{0};
   /// Set when a thread starts the group's task: from then on the
-  /// publisher leaves the group's chunks to that thread and may wait on
+  /// producer leaves the group's chunks to that thread and may wait on
   /// it.
   std::atomic<bool> Claimed{false};
 
@@ -433,13 +437,6 @@ private:
 };
 
 using ReplayGroups = std::vector<std::unique_ptr<ReplayGroup>>;
-
-/// Chunks queued between a streamed trace's producer and the publisher.
-/// With the publisher's window (StreamedReplay::WindowChunks), the
-/// chunk being produced and the one being published, an experiment holds
-/// at most six chunks in flight — as many as the single sequential
-/// consumer did behind a four-deep queue.
-constexpr size_t ProducerQueueDepth = 2;
 
 /// One group per pool worker at most. \p FullTrace is the materialized
 /// trace (MIN) or null; \p SizeHint pre-sizes the stack-distance walks.
@@ -508,31 +505,33 @@ replayMaterialized(const std::vector<TraceEvent> &Trace,
   return gather(Groups, Points, Attrib);
 }
 
-/// Point-parallel replay of a streamed trace. The publisher — the thread
-/// running the chunk producer's consumer side — hands each chunk buffer,
-/// without a copy, to a window of WindowChunks slots; a slot is read-only
-/// while any group has yet to replay it, and its buffer goes back to the
-/// producer once it is reused, so the steady state allocates nothing.
-/// Each group is one pool task replaying every chunk in order, so each
-/// point sees exactly the event sequence of a sequential replay and its
-/// counters are bit-identical by construction.
+/// Point-parallel replay of a streamed trace. StreamedReplay is the
+/// producer's TraceSink: chunk() hands each buffer, without a copy, to a
+/// window of WindowChunks slots and returns the spent buffer of the slot
+/// it reuses, so the steady state allocates nothing. A slot is read-only
+/// while any group has yet to replay it. Each group is one pool task
+/// replaying every chunk in order, so each point sees exactly the event
+/// sequence of a sequential replay and its counters are bit-identical by
+/// construction.
 ///
-/// Deadlock freedom: the publisher and the groups are the indexes of one
-/// parallelFor, publisher first. parallelFor hands indexes out in order,
-/// so a group only ever waits on a running publisher. The publisher
-/// waits only on claimed groups, which are running; the pending chunks
-/// of a group no thread has claimed (every worker busy elsewhere) are
-/// replayed by the publisher itself, so a saturated pool degrades to
-/// sequential replay on the publishing thread.
-class StreamedReplay {
+/// Deadlock freedom: the producer and the groups are the indexes of one
+/// parallelFor, producer first. parallelFor hands indexes out in order,
+/// so a group only ever waits on a running producer. The producer waits
+/// only on claimed groups, which are running; the pending chunks of a
+/// group no thread has claimed (every worker busy elsewhere) are replayed
+/// by the producer itself, so a saturated pool degrades to sequential
+/// replay on the producing thread.
+class StreamedReplay : public TraceSink {
 public:
-  explicit StreamedReplay(ReplayGroups &Groups) : Groups(Groups) {}
+  /// \p Writer, when non-null, records every chunk on the producing
+  /// thread before it is published.
+  StreamedReplay(ReplayGroups &Groups, TraceStoreWriter *Writer)
+      : Groups(Groups), Writer(Writer) {}
 
   /// Runs \p Produce — which must hand every chunk, in order, to the
-  /// consumer it is given and return whether the stream completed —
+  /// sink it is given and return whether the stream completed —
   /// alongside the groups. Returns Produce's verdict.
-  bool run(ThreadPool &Pool,
-           const std::function<bool(const ChunkConsumer &)> &Produce) {
+  bool run(ThreadPool &Pool, const std::function<bool(TraceSink &)> &Produce) {
     bool Ok = false;
     Pool.parallelFor(Groups.size() + 1, [&](size_t I) {
       if (I != 0) {
@@ -544,25 +543,28 @@ public:
         StreamedReplay &R;
         ~Closer() { R.close(); }
       } Close{*this};
-      Ok = Produce([this](std::vector<TraceEvent> &Chunk) { publish(Chunk); });
+      Ok = Produce(*this);
     });
+    NumTraceChunks.add(Sequence);
+    NumTraceEvents.add(Events);
+    NumProducerStalls.add(ProducerStalls);
+    NumConsumerStalls.add(ConsumerStalls);
     NumInlineChunks.add(InlineChunks);
     return Ok;
   }
 
-private:
-  static constexpr size_t WindowChunks = 2;
+  /// Events streamed so far.
+  uint64_t events() const { return Events; }
 
-  struct Slot {
-    std::vector<TraceEvent> Events;
-    size_t Readers = 0; ///< Groups yet to replay it; guarded by M.
-  };
-
-  void publish(std::vector<TraceEvent> &Chunk) {
+  std::vector<TraceEvent> chunk(std::vector<TraceEvent> Chunk) override {
+    if (Writer)
+      Writer->append(Chunk.data(), Chunk.size());
+    Events += Chunk.size();
     Slot &S = Window[Sequence % WindowChunks];
     if (Sequence >= WindowChunks)
       reclaim(S, Sequence - WindowChunks);
-    // The slot's spent buffer goes back upstream for the next chunk.
+    // The slot's spent buffer goes back to the producer for the next
+    // chunk.
     S.Events.swap(Chunk);
     Chunk.clear();
     {
@@ -571,7 +573,20 @@ private:
       Published = ++Sequence;
     }
     PublishedCV.notify_all();
+    return Chunk;
   }
+
+private:
+  /// Slots in the window. With the chunk being filled, an experiment
+  /// holds at most WindowChunks + 1 chunk buffers. Three measured the
+  /// same report wall time and peak RSS as two with under a third of
+  /// the producer stalls (DESIGN.md §13).
+  static constexpr size_t WindowChunks = 3;
+
+  struct Slot {
+    std::vector<TraceEvent> Events;
+    size_t Readers = 0; ///< Groups yet to replay it; guarded by M.
+  };
 
   /// Waits until slot \p S, holding chunk \p OldSeq, has been replayed
   /// by every group, first replaying it here for each unclaimed group.
@@ -583,7 +598,10 @@ private:
       InlineChunks += drain(*G);
     }
     std::unique_lock<std::mutex> Lock(M);
-    FreedCV.wait(Lock, [&] { return S.Readers == 0; });
+    if (S.Readers != 0) {
+      ++ProducerStalls;
+      FreedCV.wait(Lock, [&] { return S.Readers == 0; });
+    }
   }
 
   void close() {
@@ -599,8 +617,11 @@ private:
     for (;;) {
       {
         std::unique_lock<std::mutex> Lock(M);
-        PublishedCV.wait(Lock,
-                         [&] { return Closed || G.Next.load() < Published; });
+        auto Ready = [&] { return Closed || G.Next.load() < Published; };
+        if (!Ready()) {
+          ++ConsumerStalls;
+          PublishedCV.wait(Lock, Ready);
+        }
         if (G.Next.load() >= Published)
           break; // Closed, and every chunk replayed.
       }
@@ -637,30 +658,38 @@ private:
   }
 
   ReplayGroups &Groups;
-  /// Publisher-only: chunks published so far, and chunks it replayed for
-  /// unclaimed groups.
+  TraceStoreWriter *Writer;
+  /// Producer-only: chunks and events published so far, waits for a
+  /// slot, and chunks it replayed for unclaimed groups.
   uint64_t Sequence = 0;
+  uint64_t Events = 0;
+  uint64_t ProducerStalls = 0;
   uint64_t InlineChunks = 0;
   std::mutex M;
   std::condition_variable PublishedCV; ///< Groups wait for chunks here.
-  std::condition_variable FreedCV;     ///< The publisher waits for slots.
+  std::condition_variable FreedCV;     ///< The producer waits for slots.
   Slot Window[WindowChunks];           ///< Readers guarded by M.
   uint64_t Published = 0;              ///< Guarded by M.
+  uint64_t ConsumerStalls = 0;         ///< Guarded by M.
   bool Closed = false;                 ///< Guarded by M.
 };
 
 /// Streamed replay of \p Points: \p Produce runs the chunk producer (live
-/// simulation or store decode) into the given consumer and returns
-/// whether the stream completed. On success fills \p Stats and
-/// \p Attrib in point order; on failure the replay state saw at most a
-/// prefix of the trace and is discarded.
+/// simulation or store decode) into the sink it is given and returns
+/// whether the stream completed; \p Writer, when non-null, records the
+/// stream. Sets \p Events to the events streamed. On success fills
+/// \p Stats and \p Attrib in point order; on failure the replay state
+/// saw at most a prefix of the trace and is discarded.
 bool replayStreamed(const std::vector<SweepPoint> &Points, ThreadPool &Pool,
-                    uint64_t SizeHint,
-                    const std::function<bool(const ChunkConsumer &)> &Produce,
-                    std::vector<CacheStats> &Stats,
+                    uint64_t SizeHint, TraceStoreWriter *Writer,
+                    const std::function<bool(TraceSink &)> &Produce,
+                    uint64_t &Events, std::vector<CacheStats> &Stats,
                     std::vector<RefAttribution> &Attrib) {
   ReplayGroups Groups = makeGroups(Points, Pool, nullptr, SizeHint);
-  if (!StreamedReplay(Groups).run(Pool, Produce))
+  StreamedReplay Replay(Groups, Writer);
+  const bool Ok = Replay.run(Pool, Produce);
+  Events = Replay.events();
+  if (!Ok)
     return false;
   Stats = gather(Groups, Points, Attrib);
   return true;
@@ -741,14 +770,19 @@ bool SweepEngine::serveFromStore(Experiment &E,
   Work.push_back(BasePt);
   bool Ok = true;
   if (SweepPointStream::streamable(Work)) {
-    // Same shape as the live streaming path: decode overlaps replay,
-    // peak memory O(chunk).
+    // Same shape as the live streaming path, with decode in place of
+    // simulation: peak memory O(chunk).
+    uint64_t Decoded = 0;
     Ok = replayStreamed(
-        Work, *Pool, Reader.eventCount(),
-        [&](const ChunkConsumer &Consume) {
-          return streamStoredTrace(Reader, Consume, ProducerQueueDepth);
+        Work, *Pool, Reader.eventCount(), /*Writer=*/nullptr,
+        [&](TraceSink &Sink) {
+          std::vector<TraceEvent> Chunk;
+          while (Reader.next(Chunk))
+            if (!Chunk.empty())
+              Chunk = Sink.chunk(std::move(Chunk));
+          return !Reader.failed();
         },
-        Replayed, ReplayedAttrib);
+        Decoded, Replayed, ReplayedAttrib);
   } else {
     // Belady MIN: materialize the decoded trace for its backward
     // next-use pass, exactly as the live path materializes its own.
@@ -841,41 +875,28 @@ void SweepEngine::run() {
 
     if (Served) {
       // Nothing to simulate: base result and points came from the store.
-    } else if (Rest.empty()) {
-      if (Writer.isOpen()) {
-        // No replay consumers, but the trace is still worth recording:
-        // stream it straight into the store.
-        TraceRecordSink Record(Writer);
-        Config.Sink = &Record;
-        E.Result = E.Run(Config);
-        Config.Sink = nullptr;
-        TraceEvents = Writer.eventCount();
-      } else {
-        E.Result = E.Run(Config); // No replay consumers at all.
-      }
+    } else if (Rest.empty() && !Writer.isOpen()) {
+      E.Result = E.Run(Config); // No replay consumers, nothing to record.
     } else if (SweepPointStream::streamable(Rest)) {
       // Streaming mode: replay overlaps generation chunk by chunk and
       // the trace is never materialized — peak trace memory drops from
       // O(trace) to O(chunk), which is what lets the sweep methodology
       // scale to much larger workloads. The span covers the whole
-      // pipeline; SweepReplayNs meters the replay kernels alone.
+      // pipeline; SweepReplayNs meters the replay kernels alone. With no
+      // points left the same sink, with zero groups, only records.
       telemetry::ScopedPhase Replay("sweep.replay", "streaming");
-      // Recording rides the producer thread: the tap sees each chunk
-      // before it is queued for replay, so a store miss costs one
-      // encode pass overlapped with replay, not an extra trace walk.
-      std::function<void(const TraceEvent *, size_t)> RecordTap;
-      if (Writer.isOpen())
-        RecordTap = [&Writer](const TraceEvent *Events, size_t Count) {
-          Writer.append(Events, Count);
-        };
+      // Recording rides the simulating thread: the writer sees each
+      // chunk before it is published for replay, so a store miss costs
+      // one encode pass overlapped with replay, not an extra trace walk.
       replayStreamed(
           Rest, *Pool, sizeHint(E.HintGroup),
-          [&](const ChunkConsumer &Consume) {
-            E.Result = streamTrace(Config, E.Run, Consume, ProducerQueueDepth,
-                                   &TraceEvents, RecordTap);
+          Writer.isOpen() ? &Writer : nullptr,
+          [&](TraceSink &Sink) {
+            Config.Sink = &Sink;
+            E.Result = E.Run(Config);
             return E.Result.ok();
           },
-          Replayed, ReplayedAttrib);
+          TraceEvents, Replayed, ReplayedAttrib);
     } else {
       // Belady MIN needs the whole trace (backward next-use pass):
       // materialize it, replay, and drop it before the next experiment.

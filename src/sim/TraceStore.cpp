@@ -37,7 +37,6 @@
 
 #include "urcm/sim/TraceStore.h"
 
-#include "urcm/sim/TraceStream.h"
 #include "urcm/support/Telemetry.h"
 
 #include <algorithm>
@@ -46,7 +45,6 @@
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
-#include <thread>
 
 #include <unistd.h> // getpid: temp-file uniqueness across processes.
 
@@ -816,53 +814,15 @@ bool TraceStoreReader::readAll(std::vector<TraceEvent> &Trace) {
 }
 
 //===----------------------------------------------------------------------===//
-// Streamed decode (decode thread + SPSC hand-off, recycled buffers).
+// Streamed decode.
 //===----------------------------------------------------------------------===//
 
 bool urcm::streamStoredTrace(
     TraceStoreReader &Reader,
-    const std::function<void(const TraceEvent *, size_t)> &Consume,
-    size_t QueueDepth) {
-  return streamStoredTrace(
-      Reader,
-      ChunkConsumer([&](std::vector<TraceEvent> &Chunk) {
-        Consume(Chunk.data(), Chunk.size());
-      }),
-      QueueDepth);
-}
-
-bool urcm::streamStoredTrace(TraceStoreReader &Reader,
-                             const ChunkConsumer &Consume,
-                             size_t QueueDepth) {
-  StreamedTrace Stream(QueueDepth);
-  std::thread Decoder([&] {
-    if (telemetry::enabled())
-      telemetry::setThreadName("store-decoder");
-    std::vector<TraceEvent> Chunk;
-    while (Reader.next(Chunk)) {
-      if (Chunk.empty())
-        continue;
-      // Hand the decoded chunk off; the returned buffer is a recycled
-      // one the consumer has finished with (or a fresh empty one), so
-      // the steady state allocates nothing and peak memory is O(chunk).
-      Chunk = Stream.chunk(std::move(Chunk));
-    }
-    Stream.producerDone();
-  });
-
-  std::exception_ptr ConsumerError;
+    const std::function<void(const TraceEvent *, size_t)> &Consume) {
   std::vector<TraceEvent> Chunk;
-  while (Stream.next(Chunk)) {
-    if (ConsumerError)
-      continue; // Keep draining so the decoder never deadlocks.
-    try {
-      Consume(Chunk);
-    } catch (...) {
-      ConsumerError = std::current_exception();
-    }
-  }
-  Decoder.join();
-  if (ConsumerError)
-    std::rethrow_exception(ConsumerError);
+  while (Reader.next(Chunk))
+    if (!Chunk.empty())
+      Consume(Chunk.data(), Chunk.size());
   return !Reader.failed();
 }

@@ -7,7 +7,6 @@
 #include "urcm/support/Casting.h"
 #include "urcm/support/Diagnostics.h"
 #include "urcm/support/RNG.h"
-#include "urcm/support/SPSCQueue.h"
 #include "urcm/support/StringUtils.h"
 #include "urcm/support/ThreadPool.h"
 
@@ -15,7 +14,6 @@
 
 #include <atomic>
 #include <stdexcept>
-#include <thread>
 
 using namespace urcm;
 
@@ -212,51 +210,4 @@ TEST(ThreadPool, NestedParallelForCompletes) {
     Pool.parallelFor(8, [&](size_t) { Inner.fetch_add(1); });
   });
   EXPECT_EQ(Inner.load(), 32u);
-}
-
-//===----------------------------------------------------------------------===//
-// SPSCQueue wait counters
-//===----------------------------------------------------------------------===//
-
-TEST(SPSCQueue, CountsProducerWaits) {
-  SPSCQueue<int> Q(1);
-  EXPECT_EQ(Q.pushWaits(), 0u);
-  Q.push(1); // Fills the queue without waiting.
-  EXPECT_EQ(Q.pushWaits(), 0u);
-  EXPECT_EQ(Q.size(), 1u);
-
-  // The second push must find the queue full and block; the counter
-  // increments before the wait, so polling it sequences the test
-  // deterministically.
-  std::thread Producer([&] { Q.push(2); });
-  while (Q.pushWaits() == 0)
-    std::this_thread::yield();
-  int V = 0;
-  ASSERT_TRUE(Q.pop(V));
-  EXPECT_EQ(V, 1);
-  ASSERT_TRUE(Q.pop(V));
-  EXPECT_EQ(V, 2);
-  Producer.join();
-  // The second pop may or may not beat the awakened producer, so only
-  // the push side is exact here.
-  EXPECT_EQ(Q.pushWaits(), 1u);
-}
-
-TEST(SPSCQueue, CountsConsumerWaits) {
-  SPSCQueue<int> Q(4);
-  std::thread Consumer([&] {
-    int V = 0;
-    ASSERT_TRUE(Q.pop(V)); // Blocks: queue starts empty.
-    EXPECT_EQ(V, 9);
-    EXPECT_FALSE(Q.pop(V)); // Blocks again until close().
-  });
-  while (Q.popWaits() == 0)
-    std::this_thread::yield();
-  Q.push(9);
-  while (Q.popWaits() < 2)
-    std::this_thread::yield();
-  Q.close();
-  Consumer.join();
-  EXPECT_EQ(Q.popWaits(), 2u);
-  EXPECT_EQ(Q.pushWaits(), 0u);
 }

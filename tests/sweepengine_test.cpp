@@ -15,7 +15,6 @@
 
 #include "urcm/driver/Driver.h"
 #include "urcm/sim/TraceStore.h"
-#include "urcm/sim/TraceStream.h"
 #include "urcm/support/RNG.h"
 #include "urcm/support/Telemetry.h"
 #include "urcm/support/ThreadPool.h"
@@ -368,111 +367,6 @@ TEST(Streaming, ChunkedFeedMatchesBatchStackDistance) {
     EXPECT_EQ(Out[I], groundTruth(Trace, Points[I])) << "point " << I;
 }
 
-TEST(Streaming, StreamTraceMatchesBufferedRun) {
-  // streamTrace must deliver exactly the trace RecordTrace would have
-  // materialized — same events, same order, same SimResult — across
-  // chunk-boundary shapes (including a short final chunk).
-  CompileOptions O;
-  O.Scheme = UnifiedOptions::unified();
-  SimConfig Buffered;
-  Buffered.Cache = config(128, 2);
-  Buffered.RecordTrace = true;
-  SimResult Base = runWorkload("Queen", O, Buffered);
-  ASSERT_FALSE(Base.Trace.empty());
-
-  const Workload *W = findWorkload("Queen");
-  for (uint32_t ChunkEvents : {7u, 1024u, 1u << 20}) {
-    SimConfig Streamed = Buffered;
-    Streamed.TraceChunkEvents = ChunkEvents;
-    std::vector<TraceEvent> Collected;
-    uint64_t Events = 0;
-    SimResult R = streamTrace(
-        Streamed,
-        [&](const SimConfig &Sim) {
-          EXPECT_NE(Sim.Sink, nullptr);
-          EXPECT_FALSE(Sim.RecordTrace);
-          DiagnosticEngine Diags;
-          return compileAndRun(W->Source, O, Sim, Diags);
-        },
-        [&](const TraceEvent *E, size_t N) {
-          Collected.insert(Collected.end(), E, E + N);
-        },
-        /*QueueDepth=*/2, &Events);
-    ASSERT_TRUE(R.ok()) << R.Error;
-    EXPECT_TRUE(R.Trace.empty()); // Streamed, not materialized.
-    EXPECT_EQ(R.Output, Base.Output);
-    EXPECT_EQ(R.Steps, Base.Steps);
-    EXPECT_EQ(R.Cache, Base.Cache);
-    EXPECT_EQ(Events, Base.Trace.size());
-    ASSERT_EQ(Collected.size(), Base.Trace.size())
-        << "chunk " << ChunkEvents;
-    for (size_t I = 0; I != Collected.size(); ++I) {
-      ASSERT_EQ(Collected[I].Addr, Base.Trace[I].Addr) << "event " << I;
-      ASSERT_EQ(Collected[I].IsWrite, Base.Trace[I].IsWrite)
-          << "event " << I;
-      ASSERT_EQ(Collected[I].Info.Bypass, Base.Trace[I].Info.Bypass)
-          << "event " << I;
-      ASSERT_EQ(Collected[I].Info.LastRef, Base.Trace[I].Info.LastRef)
-          << "event " << I;
-    }
-  }
-}
-
-TEST(Streaming, ConsumerExceptionPropagatesWithoutDeadlock) {
-  CompileOptions O;
-  SimConfig Sim;
-  Sim.Cache = config(64, 2);
-  Sim.TraceChunkEvents = 64; // Many chunks with a tiny queue.
-  const Workload *W = findWorkload("Queen");
-  EXPECT_THROW(
-      streamTrace(
-          Sim,
-          [&](const SimConfig &Cfg) {
-            DiagnosticEngine Diags;
-            return compileAndRun(W->Source, O, Cfg, Diags);
-          },
-          [&](const TraceEvent *, size_t) {
-            throw std::runtime_error("consumer failed");
-          },
-          /*QueueDepth=*/1),
-      std::runtime_error);
-}
-
-TEST(Streaming, ChunkConsumerMayKeepEveryBuffer) {
-  // A buffer-taking consumer that keeps each chunk (swapping in a fresh
-  // buffer) must still see the whole trace, in order.
-  CompileOptions O;
-  O.Scheme = UnifiedOptions::unified();
-  SimConfig Buffered;
-  Buffered.Cache = config(128, 2);
-  Buffered.RecordTrace = true;
-  SimResult Base = runWorkload("Queen", O, Buffered);
-  ASSERT_FALSE(Base.Trace.empty());
-
-  const Workload *W = findWorkload("Queen");
-  SimConfig Streamed = Buffered;
-  Streamed.TraceChunkEvents = 1000;
-  std::vector<std::vector<TraceEvent>> Kept;
-  SimResult R = streamTrace(
-      Streamed,
-      [&](const SimConfig &Sim) {
-        DiagnosticEngine Diags;
-        return compileAndRun(W->Source, O, Sim, Diags);
-      },
-      ChunkConsumer([&](std::vector<TraceEvent> &Chunk) {
-        Kept.emplace_back();
-        Kept.back().swap(Chunk);
-      }),
-      /*QueueDepth=*/2);
-  ASSERT_TRUE(R.ok()) << R.Error;
-  std::vector<TraceEvent> Collected;
-  for (const std::vector<TraceEvent> &Chunk : Kept)
-    Collected.insert(Collected.end(), Chunk.begin(), Chunk.end());
-  ASSERT_EQ(Collected.size(), Base.Trace.size());
-  for (size_t I = 0; I != Collected.size(); ++I)
-    ASSERT_EQ(Collected[I].Addr, Base.Trace[I].Addr) << "event " << I;
-}
-
 //===----------------------------------------------------------------------===//
 // Point-parallel replay: the engine splits one experiment's points into
 // groups on the pool; every point must equal the same point replayed
@@ -593,13 +487,229 @@ uint64_t telemetryCounter(const char *Name) {
   return std::strtoull(JSON.c_str() + At + Key.size(), nullptr, 10);
 }
 
+/// The base-run fields a streamed engine run must reproduce from the
+/// buffered run (everything but the trace itself).
+void expectSameBase(const SimResult &Got, const SimResult &Want,
+                    const std::string &Label) {
+  ASSERT_TRUE(Got.ok()) << Label << ": " << Got.Error;
+  EXPECT_TRUE(Got.Trace.empty()) << Label; // Streamed, not materialized.
+  EXPECT_EQ(Got.Steps, Want.Steps) << Label;
+  EXPECT_EQ(Got.Output, Want.Output) << Label;
+  EXPECT_EQ(Got.Cache, Want.Cache) << Label;
+  EXPECT_EQ(Got.ICache, Want.ICache) << Label;
+  EXPECT_EQ(Got.Refs.total(), Want.Refs.total()) << Label;
+  EXPECT_EQ(Got.Refs.Bypassed, Want.Refs.Bypassed) << Label;
+  EXPECT_EQ(Got.Refs.LastRefTagged, Want.Refs.LastRefTagged) << Label;
+  EXPECT_EQ(Got.InstructionFetches, Want.InstructionFetches) << Label;
+  EXPECT_EQ(Got.BypassTransitions, Want.BypassTransitions) << Label;
+}
+
+TEST(Streaming, StreamTraceMatchesBufferedRun) {
+  // The engine's streamed replay must see exactly the trace RecordTrace
+  // would have materialized — live, recording into a cold store, and
+  // decoded warm from it — across chunk-boundary shapes (a short final
+  // chunk, many chunks per window, and one chunk holding the whole
+  // trace).
+  std::shared_ptr<MachineProgram> Prog = compileUnified("Queen");
+  SimConfig Buffered;
+  Buffered.Cache = config(128, 2);
+  Buffered.RecordTrace = true;
+  const SimResult Recorded = Simulator(Buffered).run(*Prog);
+  ASSERT_TRUE(Recorded.ok()) << Recorded.Error;
+  ASSERT_FALSE(Recorded.Trace.empty());
+  const std::vector<SweepPoint> Points = pointParallelGrid(
+      static_cast<uint32_t>(Prog->RefTable.size()), /*WithMIN=*/false);
+  const std::vector<CacheStats> Want =
+      replaySweepPoints(Recorded.Trace, Points);
+  SweepEngine::Producer Produce = [Prog](const SimConfig &Sim) {
+    EXPECT_NE(Sim.Sink, nullptr);
+    Simulator S(Sim);
+    return S.run(*Prog);
+  };
+  SweepEngine::Producer MustNotRun = [](const SimConfig &) {
+    ADD_FAILURE() << "warm run simulated";
+    return SimResult();
+  };
+  const uint64_t Hash = traceContentHash(*Prog, Buffered);
+
+  for (uint32_t ChunkEvents : {7u, 1024u, 1u << 20}) {
+    SimConfig Base;
+    Base.Cache = Buffered.Cache;
+    Base.TraceChunkEvents = ChunkEvents;
+    ScratchDir Dir(("chunks" + std::to_string(ChunkEvents)).c_str());
+    for (const char *Mode : {"live", "cold", "warm"}) {
+      const std::string Label =
+          std::string(Mode) + " chunk " + std::to_string(ChunkEvents);
+      SweepEngine Engine;
+      DiagnosticEngine Diags;
+      const bool Stored = std::string(Mode) != "live";
+      if (Stored)
+        Engine.setTraceStore(Dir.str(), &Diags);
+      Engine.schedule("exp", "g", Base, Points,
+                      std::string(Mode) == "warm" ? MustNotRun : Produce,
+                      Stored ? Hash : 0);
+      Engine.run();
+      EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
+      expectSameBase(Engine.base("exp"), Recorded, Label);
+      for (size_t I = 0; I != Points.size(); ++I)
+        EXPECT_EQ(Engine.point("exp", I), Want[I]) << Label << " point " << I;
+      if (std::string(Mode) == "cold") {
+        // The writer sees every chunk the sink takes, so the stored
+        // trace is the buffered one, event for event.
+        TraceStoreReader Reader;
+        DiagnosticEngine OpenDiags;
+        ASSERT_EQ(Reader.open(traceStorePath(Dir.str(), Hash), Hash,
+                              OpenDiags),
+                  TraceStoreReader::OpenStatus::Ok);
+        std::vector<TraceEvent> Stored;
+        ASSERT_TRUE(Reader.readAll(Stored));
+        ASSERT_EQ(Stored.size(), Recorded.Trace.size()) << Label;
+        for (size_t I = 0; I != Stored.size(); ++I) {
+          const TraceEvent &A = Stored[I], &B = Recorded.Trace[I];
+          ASSERT_TRUE(A.Addr == B.Addr && A.IsWrite == B.IsWrite &&
+                      A.Info.Bypass == B.Info.Bypass &&
+                      A.Info.LastRef == B.Info.LastRef && A.RefId == B.RefId)
+              << Label << " event " << I;
+        }
+      }
+    }
+  }
+}
+
+TEST(Streaming, ProducerExceptionPropagatesWithoutDeadlock) {
+  // A producer that fails after several windows' worth of chunks reached
+  // the replay groups must surface from run() at every pool width: the
+  // window closes, every group drains and returns, and the half-recorded
+  // trace is never published to the store.
+  const std::vector<TraceEvent> Trace = hintedTrace(9, 5000, 400);
+  SimConfig Base;
+  Base.Cache = config(64, 2);
+  std::vector<SweepPoint> Points;
+  for (CachePolicy P : {CachePolicy::LRU, CachePolicy::FIFO,
+                        CachePolicy::Random, CachePolicy::SRRIP})
+    Points.push_back({config(128, 4), P, false});
+  for (uint32_t Lines : {16u, 64u})
+    Points.push_back({config(Lines, Lines), CachePolicy::LRU, true});
+  SweepEngine::Producer Throws = [&Trace](const SimConfig &Sim) -> SimResult {
+    std::vector<TraceEvent> Chunk;
+    for (size_t At = 0; At < Trace.size(); At += 100) {
+      Chunk.assign(Trace.begin() + At,
+                   Trace.begin() + std::min(At + 100, Trace.size()));
+      Chunk = Sim.Sink->chunk(std::move(Chunk));
+    }
+    throw std::runtime_error("producer failed");
+  };
+  for (unsigned Width : {1u, 2u, 4u}) {
+    ThreadPool Pool(Width);
+    ScratchDir Dir("producer_throws");
+    SweepEngine Engine(&Pool);
+    DiagnosticEngine Diags;
+    Engine.setTraceStore(Dir.str(), &Diags);
+    Engine.schedule("exp", "g", Base, Points, Throws, /*ContentHash=*/0x5eed);
+    EXPECT_THROW(Engine.run(), std::runtime_error) << "width " << Width;
+    EXPECT_FALSE(Engine.done("exp")) << "width " << Width;
+    EXPECT_TRUE(std::filesystem::is_empty(Dir.Path)) << "width " << Width;
+  }
+}
+
+TEST(Streaming, RecordOnlyRunFillsTheStore) {
+  // Every point of this experiment reuses the base counters, so there is
+  // nothing to replay; a cold run with a store still streams its trace
+  // into the writer (the same sink with zero replay groups), and the
+  // next run is served warm without simulating.
+  std::shared_ptr<MachineProgram> Prog = compileUnified("Queen");
+  SimConfig Base;
+  Base.Cache = config(128, 2);
+  const std::vector<SweepPoint> Points = {
+      {Base.Cache, Base.Cache.Policy, false}};
+  auto Calls = std::make_shared<std::atomic<int>>(0);
+  SweepEngine::Producer Produce = [Prog, Calls](const SimConfig &Sim) {
+    Calls->fetch_add(1);
+    Simulator S(Sim);
+    return S.run(*Prog);
+  };
+  const uint64_t Hash = traceContentHash(*Prog, Base);
+  ScratchDir Dir("record_only");
+  SimResult Cold;
+  for (const char *Mode : {"cold", "warm"}) {
+    SweepEngine Engine;
+    DiagnosticEngine Diags;
+    Engine.setTraceStore(Dir.str(), &Diags);
+    Engine.schedule("exp", "g", Base, Points, Produce, Hash);
+    Engine.run();
+    EXPECT_FALSE(Diags.hasErrors()) << Mode << ": " << Diags.str();
+    if (std::string(Mode) == "cold") {
+      Cold = Engine.base("exp");
+      ASSERT_TRUE(Cold.ok()) << Cold.Error;
+      ASSERT_TRUE(
+          std::filesystem::exists(traceStorePath(Dir.str(), Hash)));
+    } else {
+      expectSameBase(Engine.base("exp"), Cold, Mode);
+    }
+    EXPECT_EQ(Engine.point("exp", 0), Cold.Cache) << Mode;
+  }
+  EXPECT_EQ(Calls->load(), 1) << "the warm run simulated";
+}
+
+TEST(Streaming, TelemetryCountsEveryChunkAndEvent) {
+  // trace.events and trace.chunks are counted at the replay window, for
+  // the live simulator and for warm store decode alike.
+  TelemetryScope Telemetry;
+  std::shared_ptr<MachineProgram> Prog = compileUnified("Queen");
+  SimConfig Base;
+  Base.Cache = config(128, 2);
+  Base.TraceChunkEvents = 4096;
+  SimConfig Traced = Base;
+  Traced.RecordTrace = true;
+  const SimResult Recorded = Simulator(Traced).run(*Prog);
+  ASSERT_TRUE(Recorded.ok()) << Recorded.Error;
+  const uint64_t Events = Recorded.Trace.size();
+  const std::vector<SweepPoint> Points = {
+      {config(64, 2), CachePolicy::FIFO, false},
+      {config(32, 32), CachePolicy::LRU, false}};
+  SweepEngine::Producer Produce = [Prog](const SimConfig &Sim) {
+    Simulator S(Sim);
+    return S.run(*Prog);
+  };
+  const uint64_t Hash = traceContentHash(*Prog, Base);
+  ScratchDir Dir("telemetry");
+  for (const char *Mode : {"live", "cold", "warm"}) {
+    telemetry::reset();
+    SweepEngine Engine;
+    DiagnosticEngine Diags;
+    const bool Stored = std::string(Mode) != "live";
+    if (Stored)
+      Engine.setTraceStore(Dir.str(), &Diags);
+    Engine.schedule("exp", "g", Base, Points, Produce, Stored ? Hash : 0);
+    Engine.run();
+    ASSERT_TRUE(Engine.base("exp").ok()) << Mode;
+    EXPECT_EQ(telemetryCounter("trace.events"), Events) << Mode;
+    if (std::string(Mode) == "live") {
+      EXPECT_EQ(telemetryCounter("trace.chunks"),
+                (Events + Base.TraceChunkEvents - 1) / Base.TraceChunkEvents);
+    } else if (std::string(Mode) == "warm") {
+      // Warm chunks are the store's own, whatever the live chunk size.
+      TraceStoreReader Reader;
+      DiagnosticEngine OpenDiags;
+      ASSERT_EQ(Reader.open(traceStorePath(Dir.str(), Hash), Hash, OpenDiags),
+                TraceStoreReader::OpenStatus::Ok);
+      uint64_t StoredChunks = 0;
+      std::vector<TraceEvent> Chunk;
+      while (Reader.next(Chunk))
+        ++StoredChunks;
+      EXPECT_EQ(telemetryCounter("trace.chunks"), StoredChunks);
+      EXPECT_EQ(telemetryCounter("sim.runs"), 0u);
+    }
+  }
+}
+
 TEST(PointParallel, EngineMatchesPerPointOracleInEveryModeAndWidth) {
   std::shared_ptr<MachineProgram> Prog = compileUnified("Queen");
   const uint32_t NumRefs = static_cast<uint32_t>(Prog->RefTable.size());
   SimConfig Base;
   Base.Cache = config(128, 2);
-  // Many more chunks than the publisher's window, so groups run ahead
-  // of and behind one another.
+  // Many more chunks than the replay window, so groups run ahead of
+  // and behind one another.
   Base.TraceChunkEvents = 4096;
   SimConfig Traced = Base;
   Traced.RecordTrace = true;

@@ -423,8 +423,8 @@ int main(int argc, char **argv) {
   if (!OutputFile.empty()) {
     Out = std::fopen(OutputFile.c_str(), "w");
     if (!Out) {
-      std::fprintf(stderr, "cannot open %s\n", OutputFile.c_str());
-      return 1;
+      std::fprintf(stderr, "error: cannot open '%s'\n", OutputFile.c_str());
+      return 2;
     }
   }
 
