@@ -6,9 +6,8 @@
 ///
 /// \file
 /// The single replacement-policy vocabulary shared by every cache model
-/// in the tree: the generic live and replay model (urcm/sim/CacheModel.h),
-/// the specialized two-way fast caches and the sweep engine's
-/// sharded/stack-distance streams.
+/// in the tree: the one cache model (urcm/sim/CacheModel.h), live and
+/// replayed, and the sweep engine's stack-distance stream.
 ///
 /// The policy families (paper section 3.2 argues dead-line freeing is
 /// compatible with any of them):
@@ -54,6 +53,11 @@ enum class CachePolicy : uint8_t {
   SRRIP = 5,
   LivenessBypass = 6,
 };
+static_assert(static_cast<uint8_t>(CachePolicy::LRU) == 0 &&
+                  static_cast<uint8_t>(CachePolicy::FIFO) == 1 &&
+                  static_cast<uint8_t>(CachePolicy::Random) == 2 &&
+                  static_cast<uint8_t>(CachePolicy::MIN) == 3,
+              "the trace store hashes these values: extend, never renumber");
 
 /// Stable display name ("LRU", "TreePLRU", ...).
 const char *cachePolicyName(CachePolicy Policy);
@@ -90,26 +94,28 @@ namespace detail {
 
 /// Shared victim-selection mechanisms. Each helper returns a way index
 /// in [0, Assoc) and is the generic cache model's (urcm/sim/CacheModel.h)
-/// victim choice, live and replayed alike. All helpers assume
-/// every way of the set is valid (callers prefer an invalid way first;
-/// the choice among invalid ways has no observable effect).
+/// victim choice, live and replayed alike. The model keeps each policy's
+/// per-line state in a side array parallel to its tags, and the helpers
+/// take one set's slice of it. All helpers assume every way of the set
+/// is valid (callers prefer an invalid way first; the choice among
+/// invalid ways has no observable effect).
 
-/// Least-recently-used: the first way with minimal LastUsed.
-template <typename LineT>
-inline uint32_t lruVictimWay(const LineT *Base, uint32_t Assoc) {
+/// LRU (last-use stamps) and FIFO (insertion stamps): the first way with
+/// the smallest stamp.
+inline uint32_t minStampWay(const uint64_t *Stamps, uint32_t Assoc) {
   uint32_t Victim = 0;
   for (uint32_t Way = 1; Way != Assoc; ++Way)
-    if (Base[Way].LastUsed < Base[Victim].LastUsed)
+    if (Stamps[Way] < Stamps[Victim])
       Victim = Way;
   return Victim;
 }
 
-/// FIFO: the first way with minimal InsertedAt.
-template <typename LineT>
-inline uint32_t fifoVictimWay(const LineT *Base, uint32_t Assoc) {
+/// Belady MIN (next-use stamps): the first way whose next use is
+/// farthest in the future.
+inline uint32_t maxStampWay(const uint64_t *Stamps, uint32_t Assoc) {
   uint32_t Victim = 0;
   for (uint32_t Way = 1; Way != Assoc; ++Way)
-    if (Base[Way].InsertedAt < Base[Victim].InsertedAt)
+    if (Stamps[Way] > Stamps[Victim])
       Victim = Way;
   return Victim;
 }
@@ -119,14 +125,13 @@ inline uint32_t fifoVictimWay(const LineT *Base, uint32_t Assoc) {
 /// at most SRRIPMaxRRPV rounds (each round either finds a victim or
 /// raises the set maximum by one), and no RRPV ever exceeds
 /// SRRIPMaxRRPV: aging only runs while the set maximum is below it.
-template <typename LineT>
-inline uint32_t srripVictimWay(LineT *Base, uint32_t Assoc) {
+inline uint32_t srripVictimWay(uint8_t *RRPV, uint32_t Assoc) {
   for (;;) {
     for (uint32_t Way = 0; Way != Assoc; ++Way)
-      if (Base[Way].RRPV >= SRRIPMaxRRPV)
+      if (RRPV[Way] >= SRRIPMaxRRPV)
         return Way;
     for (uint32_t Way = 0; Way != Assoc; ++Way)
-      ++Base[Way].RRPV;
+      ++RRPV[Way];
   }
 }
 

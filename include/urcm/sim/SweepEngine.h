@@ -127,8 +127,8 @@ replaySweepPoints(const std::vector<TraceEvent> &Trace,
 /// cannot diverge. Internally dispatches to the same kernels: the
 /// hole-extended Mattson stack-distance sweep when every point is
 /// eligible (unless \p AllowStackFastPath is false, which pins the
-/// lock-step kernels — that is replayTraceMulti's contract), else the
-/// specialized two-way-LRU kernel plus the generic lock-step replayer.
+/// lock-step kernel — that is replayTraceMulti's contract), else the
+/// lock-step walk over one cache model per point.
 class SweepPointStream {
 public:
   /// True when every point replays in one forward pass. Belady MIN

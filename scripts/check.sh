@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # One-stop pre-merge gate:
 #   1. tier-1 build (warnings are errors) + tests in the default
-#      (RelWithDebInfo) preset
+#      (RelWithDebInfo) preset, and the urcm_report digest (cold,
+#      recording into a trace store, warm) against perfbench's
+#      REPORT_DIGEST
 #   2. the same suite under ASan+UBSan, once per dispatch strategy
 #      (the sanitizer presets differ only in URCM_FORCE_SWITCH_DISPATCH,
 #      so both the computed-goto and the switch engines get scrubbed)
@@ -69,6 +71,9 @@ got=$(./build/tools/urcmc --O1 --print-pipeline)
 for w in Bubble Intmm Puzzle Queen Sieve Towers; do
   ./build/tools/urcmc --workload="$w" --O1 --verify-each >/dev/null
 done
+
+echo "== urcm_report digest: cold, recording, warm =="
+scripts/report_digest.sh build
 
 if [ "$RUN_SAN" = 1 ]; then
   for preset in asan-ubsan asan-ubsan-threaded; do

@@ -12,20 +12,23 @@
 ///
 /// Every kernel is a stream — construct, feed(events), finish() — so
 /// the streaming pipeline and the materialized-trace path execute the
-/// same per-event code and cannot diverge.
+/// same per-event code and cannot diverge. There are two: the lock-step
+/// walk over one CacheModel per point (GenericMultiStream), whose models
+/// each run at their own compile-time shape, and the stack-distance
+/// sweep.
 ///
-/// The two lock-step kernels (LRUTwoWayStream, GenericMultiStream) take
-/// an optional shard divisor: a kernel constructed with ShardDiv = N
-/// replays a *set shard*, the subsequence of the trace whose events map
-/// to cache sets congruent to one residue mod N. Set-associative state
-/// is strictly per-set (lookup, victim choice, recency ticks all stay
-/// inside one set), so replaying each residue class independently and
-/// summing the counters is bit-identical to the sequential replay; the
-/// kernel compacts the sets it owns into localSet = globalSet / N so a
-/// shard allocates 1/N of the tag state. The stack-distance kernel
-/// needs no shard form — it models fully-associative caches (one set),
-/// which shard across *capacities* instead: each shard instance sweeps
-/// a slice of the size list over the full trace.
+/// GenericMultiStream takes an optional shard divisor: built with
+/// ShardDiv = N > 1 it replays a *set shard*, the subsequence of the
+/// trace whose events map to cache sets congruent to one residue mod N.
+/// Set-associative state is strictly per-set (lookup, victim choice,
+/// recency all stay inside one set), so replaying each residue class
+/// independently and summing the counters is bit-identical to the
+/// sequential replay; the models compact the sets they own into
+/// localSet = globalSet / N so a shard allocates 1/N of the tag state.
+/// The stack-distance kernel needs no shard form — it models
+/// fully-associative caches (one set), which shard across *capacities*
+/// instead: each shard instance sweeps a slice of the size list over the
+/// full trace.
 ///
 /// See SweepEngine.cpp's file comment for the hole-extended Mattson
 /// algorithm implemented by StackDistanceStream.
@@ -71,16 +74,6 @@ computeNextLineUsesUnhinted(const std::vector<TraceEvent> &Trace,
   return Next;
 }
 
-/// True if \p P can be served by the specialized two-way LRU kernel
-/// below.
-inline bool lruTwoWayEligible(const SweepPoint &P) {
-  return P.Policy == CachePolicy::LRU &&
-         P.Config.Write == WritePolicy::WriteBack &&
-         P.Config.LineWords == 1 && P.Config.Assoc == 2 &&
-         P.Config.NumLines >= 2 &&
-         (P.Config.NumLines & (P.Config.NumLines - 1)) == 0;
-}
-
 /// True if \p P can be replayed as independent set shards: replacement
 /// state must be strictly set-local. LRU and FIFO qualify (their ticks
 /// only order events *within* a set, and a shard feeds each of its sets
@@ -95,265 +88,24 @@ inline bool setShardEligible(const SweepPoint &P) {
   return cachePolicySetShardEligible(P.Policy);
 }
 
-/// Specialized lock-step replay for two-way LRU write-back caches with
-/// one-word lines and power-of-two line counts — the paper's preferred
-/// data-cache shape and by far the hottest sweep configuration.
-/// Counters are bit-identical to CacheModel; the win is the state
-/// encoding: each set is a two-entry move-to-front list of tag words
-/// (bit 63 = dirty, all-ones = invalid), so the common case — a hit on
-/// the most recent way — is one load and one compare, with no tick
-/// bookkeeping (for two ways, position *is* recency).
-///
-/// Invariants: among valid ways of a set, slot 0 is the more recently
-/// used; invalid ways can sit in either slot (an access always leaves
-/// the touched line in slot 0, and dead-tag/bypass frees invalidate in
-/// place). Victim choice matches CacheModelT::victimWay: an invalid
-/// way first, else the LRU way (slot 1).
-///
-/// With \p ShardDiv = N > 1 the instance replays one set shard: callers
-/// feed only events whose set index falls in one residue class mod N,
-/// and the set is compacted to globalSet / N (the shard's sets,
-/// enumerated in order). The unsharded mapping stays division-free; a
-/// power-of-two divisor lowers to a shift.
-class LRUTwoWayStream {
-  static constexpr uint64_t DirtyBit = uint64_t(1) << 63;
-  static constexpr uint64_t TagMask = ~DirtyBit;
-  static constexpr uint64_t Invalid = ~uint64_t(0);
-
-  enum class ShardMap { None, Shift, Div };
-
-  struct Way2Cache {
-    uint64_t SetMask;
-    uint64_t ShardDiv;
-    uint32_t ShardShift;
-    bool Hinted;
-    std::vector<uint64_t> Tags;
-    CacheStats St;
-    /// Per-point attribution table (null: off, the common case).
-    RefAttribution *Attr = nullptr;
-    /// Installer RefId per way, parallel to Tags; sized on demand by
-    /// setAttribution.
-    std::vector<uint16_t> InstalledBy;
-  };
-  std::vector<Way2Cache> Caches;
-
-public:
-  explicit LRUTwoWayStream(const std::vector<SweepPoint> &Points,
-                           uint32_t ShardDiv = 1) {
-    assert(ShardDiv >= 1);
-    Caches.reserve(Points.size());
-    for (const SweepPoint &P : Points) {
-      assert(lruTwoWayEligible(P));
-      const uint64_t NumSets = P.Config.NumLines / 2;
-      const uint64_t LocalSets = (NumSets + ShardDiv - 1) / ShardDiv;
-      uint32_t Shift = 0;
-      while ((uint64_t(1) << Shift) < ShardDiv)
-        ++Shift;
-      Caches.push_back({NumSets - 1, ShardDiv, Shift, !P.IgnoreHints,
-                        std::vector<uint64_t>(LocalSets * 2, Invalid),
-                        CacheStats(), /*Attr=*/nullptr,
-                        /*InstalledBy=*/{}});
-    }
-  }
-
-  /// Routes attribution for the point at \p PointIdx into \p A (see
-  /// RefAttribution; counter sites mirror TwoWayWB1Cache's, so shard
-  /// tables merge bit-identically).
-  void setAttribution(size_t PointIdx, RefAttribution *A) {
-    Way2Cache &C = Caches[PointIdx];
-    C.Attr = A;
-    if (A && C.InstalledBy.size() != C.Tags.size())
-      C.InstalledBy.assign(C.Tags.size(), MemRefInfo::NoRefId);
-  }
-
-  void feed(const TraceEvent *Events, size_t Count) {
-    // Configuration-major: each cache streams the whole chunk with its
-    // tag pointer, set mask, and counters held in registers, and the
-    // chunk itself stays hot across passes. Caches are mutually
-    // independent, so the interchange cannot change any counter.
-    for (Way2Cache &C : Caches) {
-      if (C.Attr) {
-        if (C.ShardDiv == 1)
-          feedOne<ShardMap::None, true>(C, Events, Count);
-        else if ((C.ShardDiv & (C.ShardDiv - 1)) == 0)
-          feedOne<ShardMap::Shift, true>(C, Events, Count);
-        else
-          feedOne<ShardMap::Div, true>(C, Events, Count);
-      } else if (C.ShardDiv == 1) {
-        feedOne<ShardMap::None, false>(C, Events, Count);
-      } else if ((C.ShardDiv & (C.ShardDiv - 1)) == 0) {
-        feedOne<ShardMap::Shift, false>(C, Events, Count);
-      } else {
-        feedOne<ShardMap::Div, false>(C, Events, Count);
-      }
-    }
-  }
-
-  std::vector<CacheStats> finish() {
-    std::vector<CacheStats> Out;
-    Out.reserve(Caches.size());
-    for (Way2Cache &C : Caches) {
-      for (uint64_t T : C.Tags)
-        if (T != Invalid && (T & DirtyBit))
-          ++C.St.FlushWriteBackWords;
-      Out.push_back(C.St);
-    }
-    return Out;
-  }
-
-private:
-  template <ShardMap Map, bool Attrib>
-  void feedOne(Way2Cache &C, const TraceEvent *Events, size_t Count) {
-    uint64_t *const Tags = C.Tags.data();
-    [[maybe_unused]] uint16_t *const IB =
-        Attrib ? C.InstalledBy.data() : nullptr;
-    [[maybe_unused]] RefAttribution *const Attr = C.Attr;
-    const uint64_t SetMask = C.SetMask;
-    const uint64_t ShardDiv = C.ShardDiv;
-    const uint32_t ShardShift = C.ShardShift;
-    const bool Hinted = C.Hinted;
-    CacheStats St = C.St;
-    for (const TraceEvent *E = Events, *End = Events + Count; E != End;
-         ++E) {
-      const uint64_t A = E->Addr;
-      const bool W = E->IsWrite;
-      [[maybe_unused]] const uint16_t Ref = E->RefId;
-      uint64_t Set = A & SetMask;
-      if constexpr (Map == ShardMap::Shift)
-        Set >>= ShardShift;
-      else if constexpr (Map == ShardMap::Div)
-        Set /= ShardDiv;
-      uint64_t *P = Tags + (Set << 1);
-      [[maybe_unused]] uint16_t *B = Attrib ? IB + (Set << 1) : nullptr;
-      if (__builtin_expect(!(E->Info.Bypass & Hinted), 1)) {
-        uint64_t T0 = P[0];
-        if (W)
-          ++St.Writes;
-        else
-          ++St.Reads;
-        if ((T0 & TagMask) == A) {
-          if constexpr (Attrib)
-            ++Attr->row(Ref).Hits;
-          if (W) {
-            ++St.WriteHits;
-            P[0] = T0 | DirtyBit;
-          } else {
-            ++St.ReadHits;
-          }
-        } else if (uint64_t T1 = P[1]; (T1 & TagMask) == A) {
-          if constexpr (Attrib) {
-            ++Attr->row(Ref).Hits;
-            const uint16_t Tmp = B[0];
-            B[0] = B[1];
-            B[1] = Tmp;
-          }
-          if (W) {
-            ++St.WriteHits;
-            T1 |= DirtyBit;
-          } else {
-            ++St.ReadHits;
-          }
-          P[1] = T0;
-          P[0] = T1;
-        } else {
-          // Miss. One-word write-allocate skips the fetch (the store
-          // overwrites the whole line).
-          if constexpr (Attrib)
-            ++Attr->row(Ref).Misses;
-          ++St.Fills;
-          if (!W)
-            ++St.FillWords;
-          uint64_t NewTag = W ? A | DirtyBit : A;
-          if (T0 == Invalid) {
-            P[0] = NewTag;
-            if constexpr (Attrib)
-              B[0] = Ref;
-          } else {
-            if (T1 != Invalid) {
-              ++St.Evictions;
-              if constexpr (Attrib) {
-                ++Attr->row(Ref).EvictionsCaused;
-                ++Attr->row(B[1]).EvictionsSuffered;
-              }
-              if (T1 & DirtyBit) {
-                ++St.WriteBacks;
-                ++St.WriteBackWords;
-              }
-            }
-            P[1] = T0;
-            P[0] = NewTag;
-            if constexpr (Attrib) {
-              B[1] = B[0];
-              B[0] = Ref;
-            }
-          }
-        }
-        if (E->Info.LastRef & Hinted) {
-          // The accessed line sits in slot 0 after every path above.
-          ++St.DeadFrees;
-          if (P[0] & DirtyBit) {
-            ++St.DeadWriteBacksAvoided;
-            if constexpr (Attrib)
-              ++Attr->row(Ref).DeadWriteBacksSuppressed;
-          }
-          P[0] = Invalid;
-        }
-      } else if (W) {
-        ++St.BypassWrites;
-        if constexpr (Attrib)
-          ++Attr->row(Ref).Bypasses;
-      } else {
-        // Bypass read: a resident line migrates to the register file
-        // (dirty lines write back first) and frees its slot.
-        if constexpr (Attrib)
-          ++Attr->row(Ref).Bypasses;
-        uint64_t T0 = P[0], T1 = P[1];
-        uint64_t *Slot = (T0 & TagMask) == A   ? &P[0]
-                         : (T1 & TagMask) == A ? &P[1]
-                                               : nullptr;
-        if (Slot) {
-          ++St.BypassHitMigrations;
-          ++St.DeadFrees;
-          if (*Slot & DirtyBit) {
-            ++St.WriteBacks;
-            ++St.WriteBackWords;
-            ++St.Evictions;
-            if constexpr (Attrib) {
-              ++Attr->row(Ref).EvictionsCaused;
-              ++Attr->row(B[Slot - P]).EvictionsSuffered;
-            }
-          }
-          *Slot = Invalid;
-        } else {
-          ++St.BypassReads;
-        }
-      }
-    }
-    C.St = St;
-  }
-};
-
-/// The general lock-step walk: one policy-generic CacheModel per point,
-/// advanced a chunk at a time (a running event index supplies MIN's
-/// future-knowledge lookups, so batch callers that feed the whole trace
-/// as one chunk see the original indexes).
+/// The lock-step walk: one CacheModel per point, each at its own
+/// compile-time shape, advanced a chunk at a time (a running event index
+/// supplies MIN's future-knowledge lookups, so batch callers that feed
+/// the whole trace as one chunk see the original indexes). An
+/// IgnoreHints point's model clears the hints itself.
 ///
 /// \p ShardDiv > 1 builds every model in set-shard mode (see
 /// CacheModel); MIN, Random and LivenessBypass points are not
 /// shard-eligible (setShardEligible) and must not appear then.
 class GenericMultiStream {
-  std::vector<SweepPoint> Points;
   std::vector<CacheModel> Replayers;
-  std::vector<TraceEvent> Stripped; // Per-chunk scratch (hints cleared).
-  bool AnyUnhinted = false;
   uint64_t RunningIndex = 0;
 
 public:
   /// \p FullTrace is required when any point uses CachePolicy::MIN.
-  GenericMultiStream(std::vector<SweepPoint> PointsIn,
+  GenericMultiStream(const std::vector<SweepPoint> &Points,
                      const std::vector<TraceEvent> *FullTrace,
-                     uint32_t ShardDiv = 1)
-      : Points(std::move(PointsIn)) {
+                     uint32_t ShardDiv = 1) {
     // MIN points with the same line size and hint view share one
     // next-use index.
     std::map<std::pair<uint32_t, bool>,
@@ -361,7 +113,6 @@ public:
         NextUses;
     Replayers.reserve(Points.size());
     for (const SweepPoint &P : Points) {
-      AnyUnhinted |= P.IgnoreHints;
       std::shared_ptr<const std::vector<uint64_t>> Next;
       if (P.Policy == CachePolicy::MIN) {
         assert(FullTrace && "MIN points require the materialized trace");
@@ -375,13 +126,14 @@ public:
       }
       Replayers.emplace_back(P.Config, P.Policy, std::move(Next),
                              ShardDiv);
+      Replayers.back().setIgnoreHints(P.IgnoreHints);
     }
   }
 
-  /// Routes attribution for the point at \p PointIdx into \p A. The
-  /// stripped-hint scratch copies whole events, so RefIds reach
-  /// IgnoreHints replayers too (hinted and stripped compilations number
-  /// their references identically; see MachineProgram::RefTable).
+  /// Routes attribution for the point at \p PointIdx into \p A. Hint
+  /// stripping leaves RefIds in place, so IgnoreHints points attribute
+  /// too (hinted and stripped compilations number their references
+  /// identically; see MachineProgram::RefTable).
   void setAttribution(size_t PointIdx, RefAttribution *A) {
     Replayers[PointIdx].setAttribution(A);
   }
@@ -390,24 +142,11 @@ public:
     // Configuration-major: each replayer streams the whole chunk before
     // the next starts, keeping its cache state hot. The replayers are
     // mutually independent, so the counters equal per-point replayTrace
-    // calls. IgnoreHints points see the chunk with its hint bits
-    // cleared (stripped once per chunk, not per point).
+    // calls.
     const uint64_t Base = RunningIndex;
     RunningIndex += Count;
-    if (AnyUnhinted) {
-      Stripped.assign(Events, Events + Count);
-      for (TraceEvent &E : Stripped) {
-        E.Info.Bypass = false;
-        E.Info.LastRef = false;
-      }
-    }
-    const size_t N = Points.size();
-    for (size_t P = 0; P != N; ++P) {
-      const TraceEvent *Src =
-          Points[P].IgnoreHints && AnyUnhinted ? Stripped.data() : Events;
-      // One policy dispatch per (point, chunk), not per event.
-      Replayers[P].feed(Src, Count, Base);
-    }
+    for (CacheModel &R : Replayers)
+      R.feed(Events, Count, Base);
   }
 
   std::vector<CacheStats> finish() {

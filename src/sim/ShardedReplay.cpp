@@ -22,7 +22,8 @@
 //    from the sequential run's — but comparisons only ever happen
 //    between ways of one set, events of one set arrive in trace order
 //    within their shard, and ticks are strictly monotonic, so every
-//    comparison resolves identically. Policies whose state crosses
+//    comparison resolves identically. (At a compile-time shape LRU
+//    keeps no ticks at all: its recency is each set's slot order.) Policies whose state crosses
 //    sets (Random's RNG stream, MIN's global indexes) are routed to
 //    the sequential leftover unit instead (setShardEligible).
 //
@@ -87,10 +88,7 @@ struct ShardedSweepStream::Impl {
     uint32_t GroupShards = 1;
     CacheGeometry Geo;
     std::vector<size_t> PointIdx; ///< Into Points, order preserved.
-    /// PointIdx split between the specialized two-way kernel and the
-    /// generic replayer; Fast/SlowPos index into PointIdx.
-    std::vector<SweepPoint> FastPts, SlowPts;
-    std::vector<size_t> FastPos, SlowPos;
+    std::vector<SweepPoint> Pts;  ///< Parallel to PointIdx.
     std::vector<std::vector<TraceEvent>> Buffers; ///< [GroupShards].
   };
   std::vector<Group> Groups;
@@ -164,15 +162,8 @@ ShardedSweepStream::ShardedSweepStream(
         P->Groups.push_back(std::move(G));
       }
       Impl::Group &G = P->Groups[It->second];
-      const size_t Pos = G.PointIdx.size();
       G.PointIdx.push_back(I);
-      if (detail::lruTwoWayEligible(Pt)) {
-        G.FastPts.push_back(Pt);
-        G.FastPos.push_back(Pos);
-      } else {
-        G.SlowPts.push_back(Pt);
-        G.SlowPos.push_back(Pos);
-      }
+      G.Pts.push_back(Pt);
       continue;
     }
     P->SeqPts.push_back(Pt);
@@ -259,36 +250,17 @@ std::vector<CacheStats> ShardedSweepStream::finish() {
       Units.push_back([&G, S] {
         const std::vector<TraceEvent> &Buf = G.Buffers[S];
         UnitResult R;
-        R.Stats.resize(G.PointIdx.size());
-        // Sized once up front so the kernels' table pointers stay
-        // valid for the whole replay.
-        R.Attrib.resize(G.PointIdx.size());
-        if (!G.FastPts.empty()) {
-          detail::LRUTwoWayStream K(G.FastPts, G.GroupShards);
-          for (size_t J = 0; J != G.FastPts.size(); ++J)
-            if (G.FastPts[J].wantsAttribution()) {
-              R.Attrib[G.FastPos[J]] =
-                  RefAttribution(G.FastPts[J].AttributionRefs);
-              K.setAttribution(J, &R.Attrib[G.FastPos[J]]);
-            }
-          K.feed(Buf.data(), Buf.size());
-          std::vector<CacheStats> Part = K.finish();
-          for (size_t J = 0; J != Part.size(); ++J)
-            R.Stats[G.FastPos[J]] = Part[J];
-        }
-        if (!G.SlowPts.empty()) {
-          detail::GenericMultiStream K(G.SlowPts, nullptr, G.GroupShards);
-          for (size_t J = 0; J != G.SlowPts.size(); ++J)
-            if (G.SlowPts[J].wantsAttribution()) {
-              R.Attrib[G.SlowPos[J]] =
-                  RefAttribution(G.SlowPts[J].AttributionRefs);
-              K.setAttribution(J, &R.Attrib[G.SlowPos[J]]);
-            }
-          K.feed(Buf.data(), Buf.size());
-          std::vector<CacheStats> Part = K.finish();
-          for (size_t J = 0; J != Part.size(); ++J)
-            R.Stats[G.SlowPos[J]] = Part[J];
-        }
+        // Sized once up front so the models' table pointers stay valid
+        // for the whole replay.
+        R.Attrib.resize(G.Pts.size());
+        detail::GenericMultiStream K(G.Pts, nullptr, G.GroupShards);
+        for (size_t J = 0; J != G.Pts.size(); ++J)
+          if (G.Pts[J].wantsAttribution()) {
+            R.Attrib[J] = RefAttribution(G.Pts[J].AttributionRefs);
+            K.setAttribution(J, &R.Attrib[J]);
+          }
+        K.feed(Buf.data(), Buf.size());
+        R.Stats = K.finish();
         return R;
       });
   for (Impl::StackUnit &SU : I.StackUnits)

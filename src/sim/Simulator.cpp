@@ -147,19 +147,46 @@ private:
 };
 
 /// One instruction fetch through the tag-only I-cache. Out of line on
-/// purpose: the cache's policy dispatch is forced inline, and the
-/// threaded engine fetches from every handler.
+/// purpose: the threaded engine fetches from every handler.
 [[gnu::noinline]] void fetch(CacheModel &ICache, uint64_t PC) {
   ICache.read(PC, MemRefInfo());
 }
 
-template <bool ICacheOn, class DCacheT>
+/// How the interpreter reaches its data cache: through the cache's
+/// per-run entry point (AnyShape), or with one shape and policy compiled
+/// into every load and store (FixedShape).
+struct AnyShape {
+  static bool fits(const LiveCache &) { return true; }
+  URCM_CACHE_INLINE static int64_t read(LiveCache &C, uint64_t Addr,
+                                        const MemRefInfo &Info) {
+    return C.read(Addr, Info);
+  }
+  URCM_CACHE_INLINE static void write(LiveCache &C, uint64_t Addr,
+                                      int64_t Value, const MemRefInfo &Info) {
+    C.write(Addr, Value, Info);
+  }
+};
+
+template <uint32_t W, CachePolicy P, bool A> struct FixedShape {
+  static bool fits(const LiveCache &C) { return C.fixes<W, P, A>(); }
+  URCM_CACHE_INLINE static int64_t read(LiveCache &C, uint64_t Addr,
+                                        const MemRefInfo &Info) {
+    return C.readAs<W, P, A>(Addr, Info);
+  }
+  URCM_CACHE_INLINE static void write(LiveCache &C, uint64_t Addr,
+                                      int64_t Value, const MemRefInfo &Info) {
+    C.writeAs<W, P, A>(Addr, Value, Info);
+  }
+};
+
+template <bool ICacheOn, class Port>
 SimResult runPredecodedImpl(const PredecodedProgram &PP,
                             const SimConfig &Config) {
   SimResult Result;
   MainMemory Mem(PP.StackTop + 64);
-  DCacheT Cache(Config.Cache, Mem);
+  LiveCache Cache(Config.Cache, Mem);
   Cache.setAttribution(Config.Attribution);
+  assert(Port::fits(Cache) && "the run picked the wrong cache shape");
 
   std::unique_ptr<CacheModel> ICache;
   if constexpr (ICacheOn)
@@ -323,7 +350,7 @@ SimResult runPredecodedImpl(const PredecodedProgram &PP,
       }
       const uint64_t Addr = static_cast<uint64_t>(EA);
       Refs.count(I->Mem, /*IsWrite=*/false, Addr);
-      const int64_t Value = Cache.read(Addr, I->Mem);
+      const int64_t Value = Port::read(Cache, Addr, I->Mem);
       if (Paranoid && Value != Mem.shadowRead(Addr))
         ++Result.CoherenceViolations;
       R[I->A] = Value;
@@ -339,7 +366,7 @@ SimResult runPredecodedImpl(const PredecodedProgram &PP,
       }
       const uint64_t Addr = static_cast<uint64_t>(EA);
       Refs.count(I->Mem, /*IsWrite=*/true, Addr);
-      Cache.write(Addr, R[I->C], I->Mem);
+      Port::write(Cache, Addr, R[I->C], I->Mem);
       Mem.shadowWrite(Addr, R[I->C]);
     }
     URCM_NEXT();
@@ -454,29 +481,29 @@ SimResult Simulator::run(const PredecodedProgram &Prog) {
   telemetry::ScopedPhase Phase(
       "sim.run", URCM_THREADED_DISPATCH ? "threaded" : "switch-dispatch");
   NumSimPredecoded.add();
-  // The paper's canonical data-cache shape gets the specialized model;
-  // the switch engine keeps the generic one, so the differential tests
-  // cross-check the two implementations. The instruction cache stays
-  // generic and tag-only either way (it only reads, so words cannot
-  // change its counters, and it is off in most experiments).
+  // The paper's data cache (two ways, one-word lines, LRU) gets its
+  // access compiled into the interpreter; every other configuration
+  // calls the cache's per-run entry point. Attribution selects its own
+  // instantiation, so the default one carries no profiling code. The
+  // instruction cache stays tag-only either way (it only reads, so
+  // words cannot change its counters, and it is off in most
+  // experiments).
   SimResult Result;
-  if (TwoWayWB1Cache::eligible(Config.Cache)) {
-    // Attribution swaps in the profiling instantiation; the default one
-    // compiles the per-reference bookkeeping out of the inlined hot
-    // path entirely (if constexpr in TwoWayWB1CacheT), so profiling
-    // costs nothing when off.
+  const bool ICache = Config.ModelICache;
+  if (LiveCache::shapeOf(Config.Cache) == 2 &&
+      Config.Cache.Policy == CachePolicy::LRU) {
+    using Paper = FixedShape<2, CachePolicy::LRU, false>;
+    using PaperAttr = FixedShape<2, CachePolicy::LRU, true>;
     if (Config.Attribution)
-      Result = Config.ModelICache
-                   ? runPredecodedImpl<true, TwoWayWB1CacheAttr>(Prog, Config)
-                   : runPredecodedImpl<false, TwoWayWB1CacheAttr>(Prog, Config);
+      Result = ICache ? runPredecodedImpl<true, PaperAttr>(Prog, Config)
+                      : runPredecodedImpl<false, PaperAttr>(Prog, Config);
     else
-      Result = Config.ModelICache
-                   ? runPredecodedImpl<true, TwoWayWB1Cache>(Prog, Config)
-                   : runPredecodedImpl<false, TwoWayWB1Cache>(Prog, Config);
-  } else
-    Result = Config.ModelICache
-                 ? runPredecodedImpl<true, LiveCache>(Prog, Config)
-                 : runPredecodedImpl<false, LiveCache>(Prog, Config);
+      Result = ICache ? runPredecodedImpl<true, Paper>(Prog, Config)
+                      : runPredecodedImpl<false, Paper>(Prog, Config);
+  } else {
+    Result = ICache ? runPredecodedImpl<true, AnyShape>(Prog, Config)
+                    : runPredecodedImpl<false, AnyShape>(Prog, Config);
+  }
   recordRunTelemetry(Result);
   return Result;
 }

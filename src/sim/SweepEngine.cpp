@@ -42,8 +42,8 @@
 // Two Fenwick trees over the timestamp domain (all entries / holes
 // only) give O(log n) depth, topmost-hole and per-size victim queries.
 //
-// Every replay kernel here (the two-way-LRU kernel, the generic
-// lock-step replayer, the stack-distance sweep) is written as a
+// Every replay kernel here (the lock-step walk over one cache model per
+// point, the stack-distance sweep) is written as a
 // chunk-fed stream — construct, feed(events), finish() — and the batch
 // entry points (replayTraceMulti, sweepLRUStackDistance,
 // replaySweepPoints) are one-chunk wrappers, so the streamed replay
@@ -80,9 +80,10 @@ URCM_STAT(NumSweepExperiments, "sweep.experiments",
 URCM_STAT(NumSweepMemoHits, "sweep.memo-hits",
           "schedule() calls deduplicated by the experiment memo");
 URCM_STAT(NumSweepPointsReplayed, "sweep.points-replayed",
-          "Sweep points answered by trace replay");
+          "Distinct sweep points replayed from the trace");
 URCM_STAT(NumSweepPointsReused, "sweep.points-reused",
-          "Sweep points answered by reusing the base run's counters");
+          "Sweep points answered by reusing the base run's counters or "
+          "those of a provably equal replayed point");
 URCM_STAT(NumSweepTraceEvents, "sweep.trace-events",
           "Trace events generated across all experiments");
 URCM_STAT(NumSweepBytesFreed, "sweep.trace-bytes-freed",
@@ -148,6 +149,23 @@ void countPolicyPoint(CachePolicy Policy) {
     break;
   }
 }
+
+/// The point whose replay provably equals \p P's, for reuse: with
+/// one-word lines, TreePLRU's tree over two ways or fewer is at most one
+/// bit naming the less recently used way, which is LRU exactly
+/// (CacheModelProperties.TreePLRUIsExactlyLRUAtTwoWays).
+SweepPoint equivalentPoint(SweepPoint P) {
+  if (P.Config.Assoc <= 2 && P.Config.LineWords == 1)
+    for (CachePolicy *Q : {&P.Policy, &P.Config.Policy})
+      if (*Q == CachePolicy::TreePLRU)
+        *Q = CachePolicy::LRU;
+  return P;
+}
+
+bool samePoint(const SweepPoint &A, const SweepPoint &B) {
+  return A.Config == B.Config && A.Policy == B.Policy &&
+         A.IgnoreHints == B.IgnoreHints;
+}
 } // namespace
 
 
@@ -161,10 +179,8 @@ struct SweepPointStream::Impl {
   // Stack mode: one stream per hint view ([0] hinted, [1] stripped).
   std::unique_ptr<detail::StackDistanceStream> Stack[2];
   std::vector<size_t> StackIdx[2];
-  // Kernel mode: the specialized two-way kernel plus the generic walk.
-  std::unique_ptr<detail::LRUTwoWayStream> Fast;
-  std::unique_ptr<detail::GenericMultiStream> Slow;
-  std::vector<size_t> FastIdx, SlowIdx;
+  // Kernel mode: the lock-step walk over one model per point.
+  std::unique_ptr<detail::GenericMultiStream> Kernel;
   /// Per-point attribution tables, parallel to Points (default-empty
   /// rows for points that did not request attribution); the kernels
   /// accumulate into these in place and takeAttribution moves them out.
@@ -209,40 +225,14 @@ SweepPointStream::SweepPointStream(
     }
     return;
   }
-  // Partition into the specialized two-way LRU kernel and the general
-  // replayer. The two groups each walk every chunk once; touching a
-  // chunk twice is far cheaper than running every point through the
-  // general per-event machinery.
-  std::vector<SweepPoint> Fast, Slow;
-  for (size_t I = 0; I != Pts.size(); ++I) {
-    if (detail::lruTwoWayEligible(Pts[I])) {
-      P->FastIdx.push_back(I);
-      Fast.push_back(Pts[I]);
-    } else {
-      P->SlowIdx.push_back(I);
-      Slow.push_back(Pts[I]);
-    }
-  }
-  if (!Fast.empty())
-    P->Fast = std::make_unique<detail::LRUTwoWayStream>(Fast);
-  if (!Slow.empty())
-    P->Slow =
-        std::make_unique<detail::GenericMultiStream>(std::move(Slow), FullTrace);
-  // Allocate each requesting point's table and hand its kernel a
+  P->Kernel = std::make_unique<detail::GenericMultiStream>(Pts, FullTrace);
+  // Allocate each requesting point's table and hand its model a
   // pointer. Attrib was sized above and is never resized again, so the
   // element addresses stay valid for the stream's lifetime.
-  for (size_t J = 0; J != P->FastIdx.size(); ++J) {
-    const size_t I = P->FastIdx[J];
+  for (size_t I = 0; I != Pts.size(); ++I) {
     if (Pts[I].wantsAttribution()) {
       P->Attrib[I] = RefAttribution(Pts[I].AttributionRefs);
-      P->Fast->setAttribution(J, &P->Attrib[I]);
-    }
-  }
-  for (size_t J = 0; J != P->SlowIdx.size(); ++J) {
-    const size_t I = P->SlowIdx[J];
-    if (Pts[I].wantsAttribution()) {
-      P->Attrib[I] = RefAttribution(Pts[I].AttributionRefs);
-      P->Slow->setAttribution(J, &P->Attrib[I]);
+      P->Kernel->setAttribution(I, &P->Attrib[I]);
     }
   }
 }
@@ -261,10 +251,8 @@ void SweepPointStream::feed(const TraceEvent *Events, size_t Count) {
   for (int View : {0, 1})
     if (P->Stack[View])
       P->Stack[View]->feed(Events, Count);
-  if (P->Fast)
-    P->Fast->feed(Events, Count);
-  if (P->Slow)
-    P->Slow->feed(Events, Count);
+  if (P->Kernel)
+    P->Kernel->feed(Events, Count);
 }
 
 std::vector<CacheStats> SweepPointStream::finish() {
@@ -276,16 +264,8 @@ std::vector<CacheStats> SweepPointStream::finish() {
     for (size_t I = 0; I != P->StackIdx[View].size(); ++I)
       Out[P->StackIdx[View][I]] = Part[I];
   }
-  if (P->Fast) {
-    std::vector<CacheStats> Part = P->Fast->finish();
-    for (size_t I = 0; I != P->FastIdx.size(); ++I)
-      Out[P->FastIdx[I]] = Part[I];
-  }
-  if (P->Slow) {
-    std::vector<CacheStats> Part = P->Slow->finish();
-    for (size_t I = 0; I != P->SlowIdx.size(); ++I)
-      Out[P->SlowIdx[I]] = Part[I];
-  }
+  if (P->Kernel)
+    Out = P->Kernel->finish();
   return Out;
 }
 
@@ -834,24 +814,39 @@ void SweepEngine::run() {
     NumSweepExperiments.add();
     SimConfig Config = E.Base;
 
-    // A point matching the base run's own cache configuration reuses
-    // the base counters (replay is bit-identical, so this is pure
-    // reuse); everything else replays. The partition depends only on
+    // A point whose replay provably equals the base run reuses the base
+    // counters (replay is bit-identical to the live cache, so this is
+    // pure reuse), and points that provably equal one another replay
+    // once; everything else replays. The partition depends only on
     // configurations, so it is computed up front and shared by both
-    // trace modes. Attribution requests force a point into the replay
-    // set — the base run carries no table to reuse.
+    // trace modes. Attribution requests force a point into a replay of
+    // its own — the base run carries no table to reuse.
+    constexpr size_t FromBase = SIZE_MAX;
+    const SweepPoint BaseKey =
+        equivalentPoint({Config.Cache, Config.Cache.Policy, false});
     std::vector<SweepPoint> Rest;
-    std::vector<size_t> RestIndex, ReusedIndex;
+    std::vector<size_t> ReplayOf(E.Points.size()); // Into Rest, or FromBase.
     for (size_t P = 0; P != E.Points.size(); ++P) {
       const SweepPoint &Pt = E.Points[P];
       countPolicyPoint(Pt.Policy);
-      if (!Pt.IgnoreHints && !Pt.wantsAttribution() &&
-          Pt.Config == Config.Cache && Pt.Policy == Config.Cache.Policy) {
-        ReusedIndex.push_back(P);
-      } else {
+      if (Pt.wantsAttribution()) {
+        ReplayOf[P] = Rest.size();
         Rest.push_back(Pt);
-        RestIndex.push_back(P);
+        continue;
       }
+      const SweepPoint Key = equivalentPoint(Pt);
+      if (samePoint(Key, BaseKey)) {
+        ReplayOf[P] = FromBase;
+        continue;
+      }
+      auto Same = std::find_if(Rest.begin(), Rest.end(),
+                               [&](const SweepPoint &R) {
+                                 return !R.wantsAttribution() &&
+                                        samePoint(R, Key);
+                               });
+      ReplayOf[P] = static_cast<size_t>(Same - Rest.begin());
+      if (Same == Rest.end())
+        Rest.push_back(Key);
     }
 
     uint64_t TraceEvents = 0;
@@ -934,15 +929,18 @@ void SweepEngine::run() {
         Hint = std::max<uint64_t>(Hint, TraceEvents);
       }
       NumSweepTraceEvents.add(TraceEvents);
-      NumSweepPointsReused.add(ReusedIndex.size());
-      NumSweepPointsReplayed.add(RestIndex.size());
+      NumSweepPointsReused.add(E.Points.size() - Rest.size());
+      NumSweepPointsReplayed.add(Rest.size());
       E.Stats.resize(E.Points.size());
-      for (size_t P : ReusedIndex)
-        E.Stats[P] = E.Result.Cache;
       E.Attrib.resize(E.Points.size());
-      for (size_t R = 0; R != RestIndex.size(); ++R) {
-        E.Stats[RestIndex[R]] = Replayed[R];
-        E.Attrib[RestIndex[R]] = std::move(ReplayedAttrib[R]);
+      for (size_t P = 0; P != E.Points.size(); ++P) {
+        if (ReplayOf[P] == FromBase) {
+          E.Stats[P] = E.Result.Cache;
+          continue;
+        }
+        E.Stats[P] = Replayed[ReplayOf[P]];
+        if (E.Points[P].wantsAttribution())
+          E.Attrib[P] = std::move(ReplayedAttrib[ReplayOf[P]]);
       }
     }
     std::lock_guard<std::mutex> Lock(M);

@@ -2,7 +2,7 @@
 //
 // Part of the URCM project (Chi & Dietz, PLDI 1989 reproduction).
 //
-// The unified CacheModel's contract, pinned here from four directions:
+// The unified CacheModel's contract, pinned here from five directions:
 //
 //  1. live agreement — for every live-eligible policy (LRU, FIFO,
 //     Random, TreePLRU, SRRIP) the data facet driven live (LiveCache)
@@ -17,7 +17,11 @@
 //     most recently touched way (and pointing a way makes it the
 //     victim), and SRRIP's aging scan terminates with every RRPV within
 //     its 2-bit bound;
-//  4. store invariance — the replacement policy and RNG seed are
+//  4. shape agreement — every compile-time shape (1, 2, 4, 8 ways) gives
+//     the counters, attribution tables, delivered words and final memory
+//     of the runtime-geometry fallback on the same geometry, for every
+//     policy, write policy, hint view and attribution setting;
+//  5. store invariance — the replacement policy and RNG seed are
 //     observers of the recorded trace: changing either never changes
 //     the content hash (one stored trace serves the whole policy grid),
 //     and a warm engine under a different base policy still serves the
@@ -89,6 +93,13 @@ std::vector<TraceEvent> hintedTrace(uint64_t Seed, size_t N,
     E.RefId = Roll < 95 ? Ref : MemRefInfo::NoRefId;
     Trace.push_back(E);
   }
+  return Trace;
+}
+
+/// \p Trace with every hint bit cleared: the conventional view.
+std::vector<TraceEvent> stripped(std::vector<TraceEvent> Trace) {
+  for (TraceEvent &E : Trace)
+    E.Info = TraceEvent::Hints();
   return Trace;
 }
 
@@ -188,53 +199,65 @@ TEST(CacheModelProperties, TreePLRUPointAtMakesWayTheVictim) {
 }
 
 TEST(CacheModelProperties, TreePLRUIsExactlyLRUAtTwoWays) {
-  // A one-node tree is a single LRU bit: the two policies must agree
-  // bit for bit at associativity 2 (the paper's cache geometry) as long
-  // as lines are one word. Multi-word dead frees demote instead of
+  // A one-node tree is a single LRU bit (and a one-way set has no
+  // choice at all): the two policies must agree bit for bit at
+  // associativity 1 and 2 (the paper's cache geometry), under either
+  // write policy, hinted or hint-stripped, as long as lines are one
+  // word. The sweep engine relies on this to reuse LRU counters for
+  // such TreePLRU points. Multi-word dead frees demote instead of
   // invalidating, and a demotion tie (both ways at LastUsed 0) is
   // broken by scan order under LRU but by the last pointed way under
   // the tree, so the exact correspondence is deliberately not claimed
   // for multi-word lines.
-  for (uint64_t Seed : {3u, 44u}) {
-    auto Trace = hintedTrace(Seed, 20000, 700);
-    for (auto Geometry : {config(128, 2), config(16, 2), config(64, 2)})
-      EXPECT_EQ(replayTrace(Trace, Geometry, CachePolicy::TreePLRU),
-                replayTrace(Trace, Geometry, CachePolicy::LRU))
-          << "seed " << Seed << " lines " << Geometry.NumLines;
+  std::vector<std::pair<std::string, std::vector<TraceEvent>>> Traces;
+  for (uint64_t Seed : {3u, 44u})
+    Traces.emplace_back("seed " + std::to_string(Seed),
+                        hintedTrace(Seed, 20000, 700));
+  for (const char *Name : {"Queen", "Bubble"})
+    Traces.emplace_back(Name, tracedWorkloadRun(*findWorkload(Name)));
+  for (const auto &[What, Hinted] : Traces) {
+    const std::vector<TraceEvent> Stripped = stripped(Hinted);
+    for (uint32_t Assoc : {1u, 2u})
+      for (uint32_t Lines : {16u, 64u, 128u})
+        for (WritePolicy Write :
+             {WritePolicy::WriteBack, WritePolicy::WriteThrough}) {
+          CacheConfig Geometry = config(Lines, Assoc);
+          Geometry.Write = Write;
+          for (const std::vector<TraceEvent> *Trace : {&Hinted, &Stripped})
+            EXPECT_EQ(replayTrace(*Trace, Geometry, CachePolicy::TreePLRU),
+                      replayTrace(*Trace, Geometry, CachePolicy::LRU))
+                << What << (Trace == &Stripped ? " stripped" : " hinted")
+                << " " << Lines << "x" << Assoc << " "
+                << writePolicyName(Write);
+        }
   }
 }
-
-namespace {
-struct RRPVLine {
-  uint8_t RRPV = 0;
-};
-} // namespace
 
 TEST(CacheModelProperties, SRRIPAgingBoundsAndTermination) {
   SplitMix64 Rng(9);
   for (uint32_t Assoc : {2u, 4u, 8u, 16u}) {
-    std::vector<RRPVLine> Ways(Assoc);
+    std::vector<uint8_t> RRPV(Assoc, 0);
     for (int Step = 0; Step != 3000; ++Step) {
-      uint32_t Victim = detail::srripVictimWay(Ways.data(), Assoc);
+      uint32_t Victim = detail::srripVictimWay(RRPV.data(), Assoc);
       ASSERT_LT(Victim, Assoc);
-      EXPECT_GE(Ways[Victim].RRPV, SRRIPMaxRRPV)
+      EXPECT_GE(RRPV[Victim], SRRIPMaxRRPV)
           << "victim not at distant-future RRPV";
       for (uint32_t W = 0; W != Assoc; ++W)
-        EXPECT_LE(Ways[W].RRPV, SRRIPMaxRRPV)
+        EXPECT_LE(RRPV[W], SRRIPMaxRRPV)
             << "aging overflowed the 2-bit RRPV bound";
       // Simulate install on the victim and a random hit, as the model
       // does, then scan again from the mutated state.
-      Ways[Victim].RRPV = SRRIPInsertRRPV;
-      Ways[Rng.nextBelow(Assoc)].RRPV =
+      RRPV[Victim] = SRRIPInsertRRPV;
+      RRPV[Rng.nextBelow(Assoc)] =
           static_cast<uint8_t>(Rng.nextBelow(SRRIPMaxRRPV + 1));
     }
   }
   // From all-zero state the scan ages every way to the bound, then
   // picks the first way.
-  std::vector<RRPVLine> Fresh(4);
+  std::vector<uint8_t> Fresh(4, 0);
   EXPECT_EQ(detail::srripVictimWay(Fresh.data(), 4), 0u);
-  for (const RRPVLine &L : Fresh)
-    EXPECT_EQ(L.RRPV, SRRIPMaxRRPV);
+  for (uint8_t V : Fresh)
+    EXPECT_EQ(V, SRRIPMaxRRPV);
 }
 
 //===----------------------------------------------------------------------===//
@@ -284,6 +307,153 @@ TEST(CacheModelLive, DataFacetMatchesReplayForEveryLivePolicy) {
       }
     }
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Shape agreement: every compile-time shape == the runtime fallback.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// One replay of \p Trace through \p Model, with a 200-row table when
+/// \p Attributed; returns the counters and the table.
+std::pair<CacheStats, RefAttribution>
+replayModel(CacheModel &Model, const std::vector<TraceEvent> &Trace,
+            bool Attributed) {
+  RefAttribution Table(Attributed ? 200 : 0);
+  if (Attributed)
+    Model.setAttribution(&Table);
+  Model.feed(Trace.data(), Trace.size(), 0);
+  CacheStats Stats = Model.finish();
+  return {Stats, std::move(Table)};
+}
+
+/// What a live run shows: counters, table, every delivered word and the
+/// memory left after the final flush.
+struct LiveRun {
+  CacheStats Stats;
+  RefAttribution Table;
+  std::vector<int64_t> Delivered;
+  std::vector<int64_t> Memory;
+};
+
+LiveRun runLive(const CacheConfig &Geometry, bool Fallback,
+                const std::vector<TraceEvent> &Trace, bool Attributed) {
+  LiveRun R;
+  R.Table = RefAttribution(Attributed ? 200 : 0);
+  MainMemory Mem(4096);
+  LiveCache Live(Geometry, Mem);
+  if (Fallback)
+    Live.useFallbackShape();
+  if (Attributed)
+    Live.setAttribution(&R.Table);
+  int64_t Value = 0;
+  for (const TraceEvent &E : Trace) {
+    MemRefInfo Info = E.Info;
+    Info.RefId = E.RefId;
+    if (E.IsWrite)
+      Live.write(E.Addr, ++Value, Info);
+    else
+      R.Delivered.push_back(Live.read(E.Addr, Info));
+  }
+  Live.flush();
+  R.Stats = Live.stats();
+  for (uint64_t A = 0; A != Mem.size(); ++A)
+    R.Memory.push_back(Mem.read(A));
+  return R;
+}
+
+} // namespace
+
+TEST(CacheModelShapes, EveryShapeMatchesTheFallback) {
+  // Every (policy, shape, write policy, hint view, attribution) cell:
+  // the specialised instantiation and the runtime-geometry fallback on
+  // the same geometry produce the same counters and tables, and live,
+  // the same delivered words and final memory. The sizes run from one
+  // set (constant eviction pressure) to sets enough that nothing
+  // evicts.
+  const std::vector<TraceEvent> Hinted = hintedTrace(21, 30000, 4000);
+  const std::vector<TraceEvent> Stripped = stripped(Hinted);
+  const auto NextHinted = computeNextLineUses(Hinted, 1);
+  // Stripped replay counts bypassed events as accesses, so MIN's index
+  // is the one of the stripped trace.
+  const auto NextStripped = computeNextLineUses(Stripped, 1);
+  for (CachePolicy P : AllPolicies)
+    for (uint32_t Ways : {1u, 2u, 4u, 8u})
+      for (uint32_t Sets : {1u, 2u, 8u, 2048u})
+        for (WritePolicy Write :
+             {WritePolicy::WriteBack, WritePolicy::WriteThrough}) {
+          CacheConfig Geometry = config(Ways * Sets, Ways);
+          Geometry.Policy = P;
+          Geometry.Write = Write;
+          ASSERT_EQ(CacheModel::shapeOf(Geometry), Ways);
+          for (bool Strip : {false, true})
+            for (bool Attributed : {false, true}) {
+              std::string Cell = std::string(cachePolicyName(P)) + " " +
+                                 std::to_string(Sets) + "x" +
+                                 std::to_string(Ways) + " " +
+                                 writePolicyName(Write) +
+                                 (Strip ? " stripped" : " hinted") +
+                                 (Attributed ? " attributed" : "");
+              const auto &Next = Strip ? NextStripped : NextHinted;
+              CacheModel Shaped(Geometry, P, Next);
+              CacheModel Fallback(Geometry, P, Next);
+              Fallback.useFallbackShape();
+              ASSERT_EQ(Shaped.shape(), Ways) << Cell;
+              ASSERT_EQ(Fallback.shape(), 0u) << Cell;
+              Shaped.setIgnoreHints(Strip);
+              Fallback.setIgnoreHints(Strip);
+              auto [ShapedStats, ShapedTable] =
+                  replayModel(Shaped, Hinted, Attributed);
+              auto [FallbackStats, FallbackTable] =
+                  replayModel(Fallback, Hinted, Attributed);
+              EXPECT_EQ(ShapedStats, FallbackStats) << Cell;
+              EXPECT_EQ(ShapedTable, FallbackTable) << Cell;
+
+              if (!cachePolicyLiveEligible(P))
+                continue;
+              const std::vector<TraceEvent> &Trace =
+                  Strip ? Stripped : Hinted;
+              LiveRun A = runLive(Geometry, false, Trace, Attributed);
+              LiveRun B = runLive(Geometry, true, Trace, Attributed);
+              EXPECT_EQ(A.Stats, B.Stats) << "live " << Cell;
+              EXPECT_EQ(A.Stats, ShapedStats) << "live " << Cell;
+              EXPECT_EQ(A.Table, B.Table) << "live " << Cell;
+              EXPECT_EQ(A.Delivered, B.Delivered) << "live " << Cell;
+              EXPECT_EQ(A.Memory, B.Memory) << "live " << Cell;
+            }
+        }
+}
+
+TEST(CacheModelShapes, OtherGeometriesTakeTheFallback) {
+  // Three ways, a set count that is not a power of two, multi-word
+  // lines and a shard divisor that is not a power of two run on the
+  // fallback; there the data facet still matches replay.
+  CacheConfig ThreeWays = config(48, 3);
+  CacheConfig OddSets = config(126, 2);
+  CacheConfig FourWords = config(32, 2, 4);
+  const std::vector<TraceEvent> Trace = hintedTrace(21, 30000, 4000);
+  for (CacheConfig Geometry : {ThreeWays, OddSets, FourWords}) {
+    EXPECT_EQ(CacheModel::shapeOf(Geometry), 0u);
+    for (CachePolicy P : AllPolicies) {
+      if (!cachePolicyLiveEligible(P) ||
+          (P == CachePolicy::TreePLRU && Geometry.Assoc == 3))
+        continue;
+      Geometry.Policy = P;
+      CacheModel Replay(Geometry, P);
+      EXPECT_EQ(Replay.shape(), 0u);
+      auto [Stats, Table] = replayModel(Replay, Trace, true);
+      LiveRun Live = runLive(Geometry, false, Trace, true);
+      EXPECT_EQ(Live.Stats, Stats)
+          << cachePolicyName(P) << " " << Geometry.NumLines << "x"
+          << Geometry.Assoc << "x" << Geometry.LineWords;
+      EXPECT_EQ(Live.Table, Table) << cachePolicyName(P);
+    }
+  }
+  EXPECT_EQ(CacheModel(config(128, 2), CachePolicy::LRU, nullptr, 7).shape(),
+            0u);
+  EXPECT_EQ(CacheModel(config(128, 2), CachePolicy::LRU, nullptr, 4).shape(),
+            2u);
 }
 
 //===----------------------------------------------------------------------===//

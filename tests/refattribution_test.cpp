@@ -342,9 +342,10 @@ TEST(RefAttribution, LiveSimulatorMatchesEngineReplay) {
   const uint32_t NumRefs = static_cast<uint32_t>(Prog->RefTable.size());
   ThreadPool Pool(4);
 
-  // The paper geometry runs the two-way fast cache under the predecoded
-  // engine; the four-way one, and the switch engine always, run the
-  // generic LiveCache. Each live table must equal the engine's replay.
+  // The paper geometry runs the cache access compiled into the
+  // predecoded interpreter; the four-way one, and the switch engine
+  // always, go through the cache's per-run entry point. Each live table
+  // must equal the engine's replay.
   for (const CacheConfig &Geometry : {config(128, 2), config(128, 4)}) {
     std::vector<SweepPoint> Points = {{Geometry, CachePolicy::LRU, false}};
     Points[0].AttributionRefs = NumRefs;

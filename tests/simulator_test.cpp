@@ -576,7 +576,8 @@ TEST(EngineDifferential, MaxStepsStopsExactly) {
 // The paranoid shadow check is why the live caches carry data at all.
 // These hand-built programs pin that it fires on an unsound hint and
 // stays quiet on the bypass write-back guard (DESIGN.md §8), on the
-// paper-geometry fast cache, the generic cache and the switch oracle.
+// paper geometry (the access compiled into the interpreter), a 4-way
+// FIFO cache (the per-run entry point) and the switch oracle.
 namespace {
 
 MInst liInst(uint32_t Rd, int64_t Imm) {
@@ -612,8 +613,8 @@ MInst haltInst() {
 }
 
 /// Runs \p Prog on the predecoded engine at the paper geometry (the
-/// two-way fast cache) and at 4-way FIFO (the generic cache), and on
-/// the switch engine.
+/// access compiled into the interpreter) and at 4-way FIFO (the
+/// per-run entry point), and on the switch engine.
 std::vector<std::pair<std::string, SimResult>>
 runOnEveryLiveCache(const MachineProgram &Prog) {
   std::vector<std::pair<std::string, SimResult>> Runs;

@@ -3,9 +3,10 @@
 // Part of the URCM project (Chi & Dietz, PLDI 1989 reproduction).
 //
 // The sweep engine's whole contract is bit-identity: every stats-only
-// shortcut (lock-step multi-replay, the two-way LRU kernel, the
-// hole-extended stack-distance pass, hint-stripped conventional replay)
-// must reproduce the exact counters of the slow path it replaces. These
+// shortcut (lock-step multi-replay, the hole-extended stack-distance
+// pass, hint-stripped conventional replay, reuse of provably equal
+// points) must reproduce the exact counters of the slow path it
+// replaces. These
 // tests pin that down against CacheModel, the live caches and
 // full conventional-scheme simulations.
 //
@@ -94,7 +95,7 @@ SimResult runWorkload(const std::string &Name, const CompileOptions &O,
 TEST(ReplayMulti, MatchesPerPointReplayAcrossConfigurations) {
   std::vector<TraceEvent> Trace = hintedTrace(7, 20000, 600);
   std::vector<SweepPoint> Points = {
-      // Two-way LRU kernel candidates, hinted and stripped.
+      // Two-way LRU at the compile-time shape, hinted and stripped.
       {config(128, 2), CachePolicy::LRU, false},
       {config(16, 2), CachePolicy::LRU, false},
       {config(16, 2), CachePolicy::LRU, true},
@@ -116,19 +117,6 @@ TEST(ReplayMulti, MatchesPerPointReplayAcrossConfigurations) {
 
   std::vector<CacheStats> Got = replayTraceMulti(Trace, Points);
   ASSERT_EQ(Got.size(), Points.size());
-  for (size_t I = 0; I != Points.size(); ++I)
-    EXPECT_EQ(Got[I], groundTruth(Trace, Points[I])) << "point " << I;
-}
-
-TEST(ReplayMulti, TwoWayKernelOddTrafficPatterns) {
-  // Dead-tag and bypass interplay at tiny sizes (constant eviction
-  // pressure) and at sizes big enough that nothing evicts.
-  std::vector<TraceEvent> Trace = hintedTrace(21, 30000, 4000);
-  std::vector<SweepPoint> Points;
-  for (uint32_t Lines : {2u, 4u, 16u, 4096u})
-    for (bool Ignore : {false, true})
-      Points.push_back({config(Lines, 2), CachePolicy::LRU, Ignore});
-  std::vector<CacheStats> Got = replayTraceMulti(Trace, Points);
   for (size_t I = 0; I != Points.size(); ++I)
     EXPECT_EQ(Got[I], groundTruth(Trace, Points[I])) << "point " << I;
 }
@@ -807,6 +795,48 @@ TEST(PointParallel, SaturatedPoolReplaysInlineWithoutDeadlock) {
                                 : "saturated streamed");
   }
   EXPECT_GT(telemetryCounter("sim.replay.inline-chunks"), 0u);
+}
+
+TEST(Engine, ProvablyEqualPointsReplayOnce) {
+  // TreePLRU at two ways or fewer with one-word lines is LRU exactly, so
+  // the engine answers such points from the base run or from an equal
+  // LRU point's replay. Without the mapping this grid would reuse one
+  // point and replay five; with it, three are reused and three replay,
+  // and every row is still the point's own single-point replay.
+  TelemetryScope Telemetry;
+  std::shared_ptr<MachineProgram> Prog = compileUnified("Queen");
+  SimConfig Base;
+  Base.Cache = config(128, 2);
+  auto Point = [](CacheConfig C, CachePolicy P, bool Strip) {
+    C.Policy = P;
+    return SweepPoint{C, P, Strip};
+  };
+  const std::vector<SweepPoint> Points = {
+      Point(config(128, 2), CachePolicy::LRU, false),      // The base.
+      Point(config(128, 2), CachePolicy::TreePLRU, false), // = the base.
+      Point(config(128, 2), CachePolicy::TreePLRU, true),  // = point 3.
+      Point(config(128, 2), CachePolicy::LRU, true),
+      Point(config(16, 1), CachePolicy::TreePLRU, false),
+      Point(config(64, 4), CachePolicy::TreePLRU, false), // Four ways.
+  };
+  telemetry::reset();
+  SweepEngine Engine;
+  Engine.schedule("exp", "g", Base, Points, [Prog](const SimConfig &Sim) {
+    Simulator S(Sim);
+    return S.run(*Prog);
+  });
+  Engine.run();
+  ASSERT_TRUE(Engine.base("exp").ok());
+  EXPECT_EQ(telemetryCounter("sweep.points-reused"), 3u);
+  EXPECT_EQ(telemetryCounter("sweep.points-replayed"), 3u);
+
+  SimConfig Traced = Base;
+  Traced.RecordTrace = true;
+  const SimResult Recorded = Simulator(Traced).run(*Prog);
+  ASSERT_TRUE(Recorded.ok()) << Recorded.Error;
+  for (size_t I = 0; I != Points.size(); ++I)
+    EXPECT_EQ(Engine.point("exp", I), groundTruth(Recorded.Trace, Points[I]))
+        << "point " << I;
 }
 
 } // namespace

@@ -446,7 +446,7 @@ struct CountedProducer {
 };
 
 /// A point mix covering every replay family: stack-distance sizes,
-/// the two-way kernel, the generic replayer, Random, Belady MIN (the
+/// shaped and fallback cache models, Random, Belady MIN (the
 /// materialized-trace path), hinted and hint-stripped.
 std::vector<SweepPoint> mixedPoints() {
   auto Cfg = [](uint32_t Lines, uint32_t Assoc) {
