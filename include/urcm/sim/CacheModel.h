@@ -144,12 +144,12 @@ public:
   /// is 1, 2, 4 or 8, its lines are one word and its set count is a
   /// power of two; 0, the runtime-geometry fallback, otherwise.
   static uint32_t shapeOf(const CacheConfig &Config) {
-    const uint32_t Sets = Config.NumLines / Config.Assoc;
-    const bool Shaped = Config.LineWords == 1 && Sets != 0 &&
-                        (Sets & (Sets - 1)) == 0 &&
-                        (Config.Assoc == 1 || Config.Assoc == 2 ||
-                         Config.Assoc == 4 || Config.Assoc == 8);
-    return Shaped ? Config.Assoc : 0;
+    const uint32_t Assoc = Config.Assoc;
+    if (Config.LineWords != 1 ||
+        (Assoc != 1 && Assoc != 2 && Assoc != 4 && Assoc != 8))
+      return 0;
+    const uint32_t Sets = Config.NumLines / Assoc;
+    return Sets != 0 && (Sets & (Sets - 1)) == 0 ? Assoc : 0;
   }
 
   /// The replay constructor (tag-only facet). \p NextUses is required

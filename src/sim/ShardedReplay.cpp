@@ -23,9 +23,10 @@
 //    between ways of one set, events of one set arrive in trace order
 //    within their shard, and ticks are strictly monotonic, so every
 //    comparison resolves identically. (At a compile-time shape LRU
-//    keeps no ticks at all: its recency is each set's slot order.) Policies whose state crosses
-//    sets (Random's RNG stream, MIN's global indexes) are routed to
-//    the sequential leftover unit instead (setShardEligible).
+//    keeps no ticks at all: its recency is each set's slot order.)
+//    Policies whose state crosses sets (Random's RNG stream, MIN's
+//    global indexes) are routed to the sequential leftover unit
+//    instead (setShardEligible).
 //
 //  * All replay happens in finish(): feed() only appends to per-shard
 //    buffers, so when the streaming pipeline drives this stream, demux

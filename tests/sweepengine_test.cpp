@@ -6,9 +6,8 @@
 // shortcut (lock-step multi-replay, the hole-extended stack-distance
 // pass, hint-stripped conventional replay, reuse of provably equal
 // points) must reproduce the exact counters of the slow path it
-// replaces. These
-// tests pin that down against CacheModel, the live caches and
-// full conventional-scheme simulations.
+// replaces. These tests pin that down against CacheModel, the live
+// caches and full conventional-scheme simulations.
 //
 //===----------------------------------------------------------------------===//
 
